@@ -113,20 +113,6 @@ def _chain_levels(has_pred: np.ndarray, delta: int) -> np.ndarray:
     return levels.astype(np.int64)
 
 
-def _schedule_from_levels(levels: np.ndarray) -> LevelSchedule:
-    """The deterministic LevelSchedule layout for given levels (identical
-    to the tail of :func:`repro.graph.levels.compute_levels`)."""
-    n = len(levels)
-    order = np.lexsort(
-        (np.arange(n, dtype=np.int64), levels)
-    ).astype(np.int64)
-    n_levels = int(levels.max()) + 1 if n else 0
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    if n:
-        level_ptr[1:] = np.cumsum(np.bincount(levels, minlength=n_levels))
-    return LevelSchedule(levels=levels, order=order, level_ptr=level_ptr)
-
-
 def build_symbolic_record(
     loop: IrregularLoop,
     verdict: DependenceVerdict | None = None,
@@ -176,7 +162,7 @@ def build_symbolic_record(
     # Wavefront levels from the proven distances.
     if not true_slots:
         levels = np.zeros(n, dtype=np.int64)
-        schedule = _schedule_from_levels(levels)
+        schedule = LevelSchedule.from_levels(levels)
     else:
         distances = {dep.distance for dep in true_slots}
         has_pred = np.zeros(n, dtype=bool)
@@ -185,13 +171,14 @@ def build_symbolic_record(
             has_pred[a:b] = True
         if len(distances) == 1:
             levels = _chain_levels(has_pred, true_slots[0].distance)
-            schedule = _schedule_from_levels(levels)
+            schedule = LevelSchedule.from_levels(levels)
         else:
             # Mixed constant distances: emit the dependence pairs in
             # closed form (still no memory inspection) and reuse the
             # standard level computation.
             from repro.graph.depgraph import DependenceGraph
             from repro.graph.levels import compute_levels
+            from repro.ir.analysis import unique_pairs
 
             pair_list = [
                 np.stack(
@@ -204,7 +191,8 @@ def build_symbolic_record(
                 for dep in true_slots
                 for a, b in [dep.dep_range]
             ]
-            pairs = np.unique(np.concatenate(pair_list, axis=0), axis=0)
+            pairs = np.concatenate(pair_list, axis=0)
+            pairs = unique_pairs(pairs[:, 0], pairs[:, 1], n)
             schedule = compute_levels(DependenceGraph(n, pairs))
 
     return assemble_record(
@@ -285,7 +273,7 @@ def build_distance_record(
     return assemble_record(
         loop,
         iter_array=iter_array,
-        schedule=_schedule_from_levels(levels),
+        schedule=LevelSchedule.from_levels(levels),
         true_flat=true_flat,
         intra_flat=intra_flat,
         plan=plan_transform(loop, verdict=verdict),

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ScheduleError
+from repro.graph.depgraph import DependenceGraph
 from repro.ir.analysis import dependence_pairs
 from repro.ir.loop import IrregularLoop
 
@@ -54,6 +55,11 @@ class Runner(abc.ABC):
     - ``schedule`` / ``chunk`` — executor iteration schedule, where the
       backend has one (``None`` means the backend default).
     - ``trace`` — request an execution timeline where supported.
+    - ``fingerprint`` — the loop's
+      :func:`~repro.backends.cache.loop_fingerprint` when the caller
+      already computed it (plan execution passes the ``fingerprint``
+      pass's digest); backends that key an inspector cache use it instead
+      of re-hashing the index arrays, the others ignore it.
     """
 
     #: Short identifier used by the ``backend=`` selector and in reports.
@@ -92,6 +98,7 @@ class Runner(abc.ABC):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         """Execute ``loop`` and return its :class:`RunResult`."""
         raise NotImplementedError
@@ -148,7 +155,9 @@ def inverse_permutation(order: np.ndarray) -> np.ndarray:
 
 
 def validate_execution_order(
-    loop: IrregularLoop, order: np.ndarray
+    loop: IrregularLoop,
+    order: np.ndarray,
+    graph: DependenceGraph | None = None,
 ) -> np.ndarray:
     """Check that ``order`` is a legal doacross execution order for ``loop``.
 
@@ -158,12 +167,16 @@ def validate_execution_order(
     them), which is precisely why doconsider reordering is allowed to ignore
     them.
 
+    ``graph`` is the loop's true-dependence DAG when the caller holds it
+    (a cached :class:`~repro.backends.cache.LoopStructure`); without it
+    the dependence pairs are computed here.
+
     Returns the inverse permutation (position of each original iteration).
     Raises :class:`~repro.errors.ScheduleError` on violation — running such
     an order would deadlock the busy-wait executor.
     """
     pos = inverse_permutation(order)
-    pairs = dependence_pairs(loop)
+    pairs = dependence_pairs(loop) if graph is None else graph.pairs()
     if len(pairs):
         bad = pos[pairs[:, 0]] >= pos[pairs[:, 1]]
         if bad.any():

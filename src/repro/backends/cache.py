@@ -18,9 +18,23 @@ array, the read table's ``ptr``/``index`` arrays, and the static signature
 - coefficients and values are deliberately excluded: they do not affect
   who-writes-what, so a solver that rescales its matrix still hits.
 
-A cache entry (:class:`InspectorRecord`) holds everything the vectorized
-backend's preprocessing produces: the paper's ``iter`` array, the
-wavefront :class:`~repro.graph.levels.LevelSchedule`, the
+The cache holds two kinds of entry, each an LRU table of ``capacity``
+entries:
+
+- a **structure** entry (:class:`LoopStructure`), keyed by
+  :func:`loop_fingerprint` only: the true-dependence
+  :class:`~repro.graph.depgraph.DependenceGraph` and its wavefront
+  :class:`~repro.graph.levels.LevelSchedule`.  Planning reads it (the
+  ``dependence-dag``, ``level-schedule`` and ``doconsider`` passes), so
+  the dependence analysis runs once per structure, not once per call —
+  Figure 3's amortization applied to planning as well as to the
+  inspector;
+- an **inspector record** (:class:`InspectorRecord`), built from the
+  structure entry on a miss.
+
+An inspector record holds everything the vectorized backend's
+preprocessing produces: the paper's ``iter`` array, the wavefront
+:class:`~repro.graph.levels.LevelSchedule`, the
 :class:`~repro.ir.transform.TransformPlan`, and the executor-ready term
 layout (terms permuted into wavefront order, read sources resolved to
 old-``y``/``ynew``, intra-iteration terms marked).  Everything in the
@@ -33,6 +47,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +60,8 @@ from repro.ir.transform import TransformPlan, plan_transform, structural_signatu
 
 __all__ = [
     "loop_fingerprint",
+    "LoopStructure",
+    "analyze_structure",
     "InspectorRecord",
     "InspectorCache",
     "build_inspector_record",
@@ -65,6 +82,43 @@ def loop_fingerprint(loop: IrregularLoop) -> str:
         h.update(b"|")
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
+
+
+@dataclass(frozen=True, eq=False)
+class LoopStructure:
+    """The structure analysis of one loop: its true-dependence DAG and the
+    DAG's wavefront schedule.  Structure-only, so one instance serves every
+    loop with the same :func:`loop_fingerprint`."""
+
+    graph: DependenceGraph
+    schedule: LevelSchedule
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        g, s = self.graph, self.schedule
+        return (
+            g.succ_ptr, g.succ, g.pred_ptr, g.pred,
+            s.levels, s.order, s.level_ptr,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return _nbytes([self])
+
+
+def analyze_structure(loop: IrregularLoop) -> LoopStructure:
+    """Compute the loop's dependence DAG and level schedule, once."""
+    graph = DependenceGraph.from_loop(loop)
+    return LoopStructure(graph, compute_levels(graph))
+
+
+def _nbytes(entries: Iterable) -> int:
+    """Footprint of the entries' arrays, each shared array counted once
+    (a record and its structure entry hold the same graph and schedule)."""
+    seen: dict[int, int] = {}
+    for entry in entries:
+        for a in entry.arrays():
+            seen[id(a)] = a.nbytes
+    return int(sum(seen.values()))
 
 
 @dataclass
@@ -104,6 +158,10 @@ class InspectorRecord:
     slot_active, slot_ptr:
         For level ``k`` and term slot ``j``: ``slot_active[slot_ptr[k]+j]``
         iterations (a prefix of the level) still have a ``j``-th term.
+    graph:
+        The true-dependence DAG ``schedule`` was computed from, when the
+        record came from the runtime inspector (``None`` on the symbolic
+        and distance-group paths, which never materialize it).
     """
 
     fingerprint: str
@@ -119,15 +177,14 @@ class InspectorRecord:
     intra: np.ndarray
     slot_active: np.ndarray
     slot_ptr: np.ndarray
+    graph: DependenceGraph | None = None
 
     @property
     def n_levels(self) -> int:
         return self.schedule.n_levels
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate memory footprint of the cached arrays."""
-        arrays = (
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        own = (
             self.iter_array,
             self.schedule.levels,
             self.schedule.order,
@@ -142,48 +199,56 @@ class InspectorRecord:
             self.slot_active,
             self.slot_ptr,
         )
-        return int(sum(a.nbytes for a in arrays))
+        if self.graph is None:
+            return own
+        g = self.graph
+        return own + (g.succ_ptr, g.succ, g.pred_ptr, g.pred)
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate memory footprint of the cached arrays, the
+        dependence graph included."""
+        return _nbytes([self])
 
 
-def build_inspector_record(loop: IrregularLoop) -> InspectorRecord:
+def build_inspector_record(
+    loop: IrregularLoop,
+    structure: LoopStructure | None = None,
+    fingerprint: str | None = None,
+) -> InspectorRecord:
     """Run the (vectorized) inspector and wavefront preprocessing for
     ``loop`` and package the result for caching.
 
     This is the whole run-time preprocessing pipeline of the paper —
     Figure 3's ``iter`` construction plus the §3.2 wavefront computation —
     executed as NumPy array operations rather than simulated phases.
+    ``structure`` (the loop's :class:`LoopStructure`) and ``fingerprint``
+    (its :func:`loop_fingerprint`) are computed when not given; the cache
+    passes the ones it already holds.
     """
     n, y_size = loop.n, loop.y_size
-    write = loop.write
-    index = loop.reads.index
+    if structure is None:
+        structure = analyze_structure(loop)
 
     # Inspector: iter(a(i)) = i, everything else MAXINT (Figure 3, left).
     iter_array = np.full(y_size, MAXINT, dtype=np.int64)
-    iter_array[write] = np.arange(n, dtype=np.int64)
+    iter_array[loop.write] = np.arange(n, dtype=np.int64)
 
     # Classify every flat term against iter (the executor's check).
     readers = loop.reads.iteration_of_term()
-    writers = iter_array[index]  # MAXINT where unwritten
-    intra_flat = writers == readers
-    true_flat = writers < readers  # MAXINT compares greater: never true dep
-
-    # True-dependence DAG -> wavefront levels.
-    if bool(true_flat.any()):
-        pairs = np.unique(
-            np.stack([writers[true_flat], readers[true_flat]], axis=1), axis=0
-        )
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    schedule = compute_levels(DependenceGraph(n, pairs))
+    writers = iter_array[loop.reads.index]  # MAXINT where unwritten
 
     return assemble_record(
         loop,
         iter_array=iter_array,
-        schedule=schedule,
-        true_flat=true_flat,
-        intra_flat=intra_flat,
+        schedule=structure.schedule,
+        true_flat=writers < readers,  # MAXINT compares greater: never true
+        intra_flat=writers == readers,
         plan=plan_transform(loop),
-        fingerprint=loop_fingerprint(loop),
+        fingerprint=(
+            fingerprint if fingerprint is not None else loop_fingerprint(loop)
+        ),
+        graph=structure.graph,
     )
 
 
@@ -196,6 +261,7 @@ def assemble_record(
     intra_flat: np.ndarray,
     plan: TransformPlan,
     fingerprint: str,
+    graph: DependenceGraph | None = None,
 ) -> InspectorRecord:
     """Lay out an :class:`InspectorRecord` from classified terms.
 
@@ -266,24 +332,29 @@ def assemble_record(
         intra=intra,
         slot_active=slot_active,
         slot_ptr=slot_ptr,
+        graph=graph,
     )
 
 
 class InspectorCache:
-    """LRU cache of :class:`InspectorRecord` keyed by loop content.
+    """LRU cache of :class:`LoopStructure` and :class:`InspectorRecord`
+    entries keyed by loop content.
 
     Parameters
     ----------
     capacity:
-        Maximum number of dependence structures retained; least recently
-        used entries are evicted first.
+        Maximum number of dependence structures retained, and of inspector
+        records retained; least recently used entries are evicted first.
 
     Attributes
     ----------
     hits, misses:
-        Lookup counters — the measurable form of the paper's Figure-3
-        amortization claim (asserted in tests and reported by
-        ``repro.bench.bench_vectorized``).
+        Inspector-record lookup counters — the measurable form of the
+        paper's Figure-3 amortization claim (asserted in tests and reported
+        by ``repro.bench.bench_vectorized``).
+    structure_hits, structure_misses:
+        Structure-entry lookup counters: planning's share of the same
+        amortization.
 
     Beyond inspector records, the cache carries the auto-tuner's state
     (:meth:`tuner_state`): per-fingerprint wall-time measurements,
@@ -301,14 +372,46 @@ class InspectorCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
+        self.structure_hits = 0
+        self.structure_misses = 0
         self._entries: OrderedDict[str, InspectorRecord] = OrderedDict()
+        self._structures: OrderedDict[str, LoopStructure] = OrderedDict()
         self._tuner: dict[str, dict] = {}
 
     def __len__(self) -> int:
+        """Number of cached inspector records."""
         return len(self._entries)
 
     def __contains__(self, loop: IrregularLoop) -> bool:
+        """Whether an inspector record for ``loop`` is cached."""
         return loop_fingerprint(loop) in self._entries
+
+    def _put(self, table: OrderedDict, key: str, value) -> None:
+        table[key] = value
+        table.move_to_end(key)
+        while len(table) > self.capacity:
+            table.popitem(last=False)
+
+    def structure(
+        self, loop: IrregularLoop, fingerprint: str | None = None
+    ) -> tuple[LoopStructure, bool]:
+        """Return ``(structure, hit)`` for ``loop``, analyzing on a miss.
+
+        ``fingerprint`` must be ``loop_fingerprint(loop)`` (pass it when
+        already computed): structure entries are content-addressed only,
+        never by the symbolic or distance keys, which loops with different
+        index arrays can share.
+        """
+        fp = fingerprint if fingerprint is not None else loop_fingerprint(loop)
+        structure = self._structures.get(fp)
+        if structure is not None:
+            self.structure_hits += 1
+            self._structures.move_to_end(fp)
+            return structure, True
+        self.structure_misses += 1
+        structure = analyze_structure(loop)
+        self._put(self._structures, fp, structure)
+        return structure, False
 
     def get_or_build(
         self,
@@ -318,13 +421,15 @@ class InspectorCache:
     ) -> tuple[InspectorRecord, bool]:
         """Return ``(record, hit)`` for ``loop``, building on a miss.
 
-        ``builder`` (default :func:`build_inspector_record`) produces the
-        record; the symbolic elision path injects
-        :func:`repro.analysis.build_symbolic_record` here.  ``fingerprint``
-        overrides the content digest — a fully proven loop is keyed by its
-        structure-only :func:`repro.analysis.symbolic_fingerprint`, which
-        lets loops with identical proofs share one entry without hashing
-        their index arrays.
+        ``builder`` (default: :func:`build_inspector_record` over the
+        loop's :meth:`structure` entry) produces the record; the symbolic
+        elision path injects :func:`repro.analysis.build_symbolic_record`
+        here.  ``fingerprint`` overrides the content digest — a fully
+        proven loop is keyed by its structure-only
+        :func:`repro.analysis.symbolic_fingerprint`, which lets loops with
+        identical proofs share one entry without hashing their index
+        arrays.  With the default builder it must be the loop's
+        :func:`loop_fingerprint`.
         """
         fp = fingerprint if fingerprint is not None else loop_fingerprint(loop)
         record = self._entries.get(fp)
@@ -333,24 +438,31 @@ class InspectorCache:
             self._entries.move_to_end(fp)
             return record, True
         self.misses += 1
-        record = (builder or build_inspector_record)(loop)
-        self._entries[fp] = record
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        if builder is None:
+            structure, _hit = self.structure(loop, fp)
+            record = build_inspector_record(loop, structure, fp)
+        else:
+            record = builder(loop)
+        self._put(self._entries, fp, record)
         return record, False
 
     def seed(
         self, record: InspectorRecord, fingerprint: str | None = None
     ) -> None:
-        """Insert a pre-built record without touching the hit/miss
-        counters — how plan-time preprocessing
+        """Insert a pre-built record, and the structure entry it carries,
+        without touching any counter — how plan-time preprocessing
         (:class:`repro.passes.builtin.InspectorPass`) warms a runner's
         cache without skewing the amortization accounting."""
         fp = fingerprint if fingerprint is not None else record.fingerprint
-        self._entries[fp] = record
-        self._entries.move_to_end(fp)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self._put(self._entries, fp, record)
+        if record.graph is not None:
+            # A record with a graph came from the runtime inspector, whose
+            # own fingerprint is the loop's content digest.
+            self._put(
+                self._structures,
+                record.fingerprint,
+                LoopStructure(record.graph, record.schedule),
+            )
 
     def tuner_state(self, fingerprint: str) -> dict:
         """The auto-tuner's mutable slot for one dependence structure.
@@ -369,17 +481,22 @@ class InspectorCache:
     def clear(self) -> None:
         """Drop all entries, tuner state included (counters are kept)."""
         self._entries.clear()
+        self._structures.clear()
         self._tuner.clear()
 
     def stats(self) -> dict:
-        """Counters plus footprint, JSON-safe."""
+        """Counters plus footprint, JSON-safe.  ``bytes`` counts every
+        cached array once, structure entries included."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,
             "hits": self.hits,
             "misses": self.misses,
-            "bytes": int(
-                sum(r.nbytes for r in self._entries.values())
+            "structure_entries": len(self._structures),
+            "structure_hits": self.structure_hits,
+            "structure_misses": self.structure_misses,
+            "bytes": _nbytes(
+                [*self._entries.values(), *self._structures.values()]
             ),
             "tuner_entries": len(self._tuner),
         }

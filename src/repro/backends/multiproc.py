@@ -766,8 +766,7 @@ class MultiprocRunner(Runner):
         return payloads
 
     # -- sessions ------------------------------------------------------
-    def _session_for(self, loop: IrregularLoop) -> _Session:
-        key = loop_fingerprint(loop)
+    def _session_for(self, loop: IrregularLoop, key: str) -> _Session:
         sess = self._sessions.get(key)
         if sess is not None:
             self._sessions.move_to_end(key)
@@ -792,6 +791,7 @@ class MultiprocRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         """Execute ``loop`` on the process pool; see the module docstring.
 
@@ -800,10 +800,18 @@ class MultiprocRunner(Runner):
         deadlock-freedom precondition); ``trace`` is ignored (no simulated
         timeline; use ``observe=True`` for wall-clock spans).  Both are
         recorded in ``result.extras["ignored_options"]`` when passed.
+        ``fingerprint`` is the loop's digest when the caller already has
+        it; it keys both the inspector cache and the shared-memory session.
         """
+        if fingerprint is None:
+            fingerprint = loop_fingerprint(loop)
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
-            validate_execution_order(loop, order)
+            if self.cache is None:
+                validate_execution_order(loop, order)
+            else:
+                structure, _hit = self.cache.structure(loop, fingerprint)
+                validate_execution_order(loop, order, structure.graph)
 
         t0 = time.perf_counter()
         verdict = None
@@ -819,10 +827,10 @@ class MultiprocRunner(Runner):
                 cross_check(loop, verdict, strict=True)
         record, hit = None, False
         if self.cache is not None:
-            record, hit = self.cache.get_or_build(loop)
+            record, hit = self.cache.get_or_build(loop, fingerprint=fingerprint)
 
         self._ensure_pool()
-        sess = self._session_for(loop)
+        sess = self._session_for(loop, fingerprint)
         rec = self._obs_recorder
         met = self._obs_metrics
         observe = rec is not None

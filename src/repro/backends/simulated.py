@@ -81,11 +81,13 @@ class SimulatedRunner(Runner):
         trace: bool = False,
         linear: bool = False,
         order_label: str = "natural",
+        fingerprint: str | None = None,
     ) -> RunResult:
         """The :class:`~repro.backends.base.Runner` interface: the full
         preprocessed pipeline (or the §2.3 ``linear`` variant) on the
         simulated machine.  Equivalent to :meth:`run_preprocessed` with
-        backend-default schedule/chunk where ``None``."""
+        backend-default schedule/chunk where ``None`` (``fingerprint`` is
+        ignored: the simulated inspector is a costed phase, not cached)."""
         return self.run_preprocessed(
             loop,
             schedule=schedule,

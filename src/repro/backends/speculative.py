@@ -124,6 +124,7 @@ class SpeculativeRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         """Execute ``loop`` speculatively; returns a :class:`RunResult`
         bitwise-equal to the sequential oracle.
@@ -133,7 +134,8 @@ class SpeculativeRunner(Runner):
         natural chunk order, and any *valid* execution order produces the
         same values, so reordering buys nothing here.  ``schedule`` and
         ``trace`` are ignored and recorded in
-        ``result.extras["ignored_options"]``.
+        ``result.extras["ignored_options"]``.  ``fingerprint`` is unused:
+        this backend keeps no inspector cache.
         """
         verdict = None
         if self.analyze is not None:

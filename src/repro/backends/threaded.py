@@ -98,6 +98,7 @@ class ThreadedRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         """Execute ``loop`` on real threads and return a
         :class:`RunResult` (measured wall clock; no cycle model — the GIL
@@ -107,6 +108,7 @@ class ThreadedRunner(Runner):
         precondition), so ``schedule``/``chunk`` are ignored; ``trace`` has
         no simulated timeline to record and is ignored too.  Every ignored
         option is recorded in ``result.extras["ignored_options"]``.
+        ``fingerprint`` is unused: this backend keeps no inspector cache.
         """
         verdict = None
         elide = False

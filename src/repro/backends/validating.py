@@ -72,6 +72,7 @@ class ValidatingRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         from repro.lint.driver import run_lints
         from repro.lint.hb import check_backend_schedule
@@ -96,7 +97,8 @@ class ValidatingRunner(Runner):
         if not report.passed:
             raise RaceConditionError(report)
         result = self.inner.run(
-            loop, order=order, schedule=schedule, chunk=chunk, trace=trace
+            loop, order=order, schedule=schedule, chunk=chunk, trace=trace,
+            fingerprint=fingerprint,
         )
         result.extras["lint"] = [d.as_dict() for d in diagnostics]
         result.extras["race_check"] = report.as_dict()

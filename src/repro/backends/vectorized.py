@@ -46,7 +46,11 @@ from repro.backends.base import (
     note_ignored_options,
     validate_execution_order,
 )
-from repro.backends.cache import InspectorCache, InspectorRecord
+from repro.backends.cache import (
+    InspectorCache,
+    InspectorRecord,
+    loop_fingerprint,
+)
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
@@ -106,8 +110,9 @@ class VectorizedRunner(Runner):
         self.analyze = analyze
 
     # ------------------------------------------------------------------
-    def _preprocess(self, loop: IrregularLoop):
-        """Serve the inspector record for ``loop``.
+    def _preprocess(self, loop: IrregularLoop, fingerprint: str | None = None):
+        """Serve the inspector record for ``loop`` (``fingerprint``: its
+        :func:`~repro.backends.cache.loop_fingerprint`, when known).
 
         Returns ``(record, hit, elided, verdict)``.  With ``analyze`` set
         and an elidable verdict, the record is built symbolically (no
@@ -159,9 +164,9 @@ class VectorizedRunner(Runner):
                 if self.analyze == "symbolic+check":
                     self._debug_check(loop, verdict, record)
                 return record, hit, True, verdict
-            record, hit = self.cache.get_or_build(loop)
+            record, hit = self.cache.get_or_build(loop, fingerprint=fingerprint)
             return record, hit, False, verdict
-        record, hit = self.cache.get_or_build(loop)
+        record, hit = self.cache.get_or_build(loop, fingerprint=fingerprint)
         return record, hit, False, None
 
     def _debug_check(self, loop: IrregularLoop, verdict, record) -> None:
@@ -188,6 +193,7 @@ class VectorizedRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         """Execute ``loop`` as batched wavefronts; see the module doc.
 
@@ -197,13 +203,19 @@ class VectorizedRunner(Runner):
         values.  ``schedule``/``chunk``/``trace`` have no meaning without
         per-processor scheduling and are ignored (each ignored option is
         recorded in ``result.extras["ignored_options"]``).
+        ``fingerprint`` is the loop's digest when the caller already has it.
         """
         if order is not None:
-            validate_execution_order(loop, np.asarray(order, dtype=np.int64))
+            if fingerprint is None:
+                fingerprint = loop_fingerprint(loop)
+            structure, _hit = self.cache.structure(loop, fingerprint)
+            validate_execution_order(
+                loop, np.asarray(order, dtype=np.int64), structure.graph
+            )
         rec = self._obs_recorder
 
         t0 = time.perf_counter()
-        record, hit, elided, verdict = self._preprocess(loop)
+        record, hit, elided, verdict = self._preprocess(loop, fingerprint)
         t1 = time.perf_counter()
         if rec is not None:
             # The cache lookup/build window IS this backend's inspector

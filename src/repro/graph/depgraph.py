@@ -44,27 +44,26 @@ class DependenceGraph:
         self.n = n
         self.edge_count = len(edges)
 
-        # Successors grouped by writer.
-        order = np.argsort(edges[:, 0], kind="stable") if len(edges) else []
-        by_writer = edges[order] if len(edges) else edges
+        writers, readers = edges[:, 0], edges[:, 1]
+        # Successors grouped by writer, predecessors grouped by reader
+        # (stable, so each group keeps the input order).
         self.succ_ptr = np.zeros(n + 1, dtype=np.int64)
-        if len(edges):
-            counts = np.bincount(by_writer[:, 0], minlength=n)
-            self.succ_ptr[1:] = np.cumsum(counts)
-        self.succ = by_writer[:, 1].copy() if len(edges) else np.empty(0, np.int64)
-
-        # Predecessors grouped by reader.
-        order = np.argsort(edges[:, 1], kind="stable") if len(edges) else []
-        by_reader = edges[order] if len(edges) else edges
+        self.succ_ptr[1:] = np.cumsum(np.bincount(writers, minlength=n))
+        self.succ = readers[np.argsort(writers, kind="stable")]
         self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
-        if len(edges):
-            counts = np.bincount(by_reader[:, 1], minlength=n)
-            self.pred_ptr[1:] = np.cumsum(counts)
-        self.pred = by_reader[:, 0].copy() if len(edges) else np.empty(0, np.int64)
+        self.pred_ptr[1:] = np.cumsum(np.bincount(readers, minlength=n))
+        self.pred = writers[np.argsort(readers, kind="stable")]
 
     @classmethod
     def from_loop(cls, loop: IrregularLoop) -> "DependenceGraph":
         return cls(loop.n, dependence_pairs(loop))
+
+    def pairs(self) -> np.ndarray:
+        """The edges as an ``(m, 2)`` array of ``(writer, reader)``, grouped
+        by writer — for a graph built by :meth:`from_loop`, exactly
+        :func:`~repro.ir.analysis.dependence_pairs` of the loop."""
+        writers = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees())
+        return np.stack([writers, self.succ], axis=1)
 
     def successors(self, w: int) -> np.ndarray:
         return self.succ[self.succ_ptr[w] : self.succ_ptr[w + 1]]

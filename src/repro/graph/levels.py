@@ -43,6 +43,19 @@ class LevelSchedule:
     order: np.ndarray
     level_ptr: np.ndarray
 
+    @classmethod
+    def from_levels(cls, levels: np.ndarray) -> "LevelSchedule":
+        """The schedule of per-iteration ``levels``: order by
+        ``(level, index)`` and the CSR level boundaries."""
+        n = len(levels)
+        # Stable sort by level: ties keep index order, i.e. (level, index).
+        order = np.argsort(levels, kind="stable").astype(np.int64)
+        n_levels = int(levels.max()) + 1 if n else 0
+        level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
+        if n:
+            level_ptr[1:] = np.cumsum(np.bincount(levels, minlength=n_levels))
+        return cls(levels=levels, order=order, level_ptr=level_ptr)
+
     @property
     def n_levels(self) -> int:
         return len(self.level_ptr) - 1
@@ -118,12 +131,7 @@ def compute_levels(
             f"unknown level method {method!r}; expected sweep/frontier/auto"
         )
 
-    order = np.lexsort((np.arange(n, dtype=np.int64), levels)).astype(np.int64)
-    n_levels = int(levels.max()) + 1 if n else 0
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    if n:
-        level_ptr[1:] = np.cumsum(np.bincount(levels, minlength=n_levels))
-    return LevelSchedule(levels=levels, order=order, level_ptr=level_ptr)
+    return LevelSchedule.from_levels(levels)
 
 
 def _levels_by_sweep(graph: DependenceGraph) -> np.ndarray:
@@ -143,26 +151,35 @@ def _levels_by_frontier(graph: DependenceGraph) -> np.ndarray:
     """Vectorized Kahn-by-waves: wave ``k`` holds the nodes whose last
     predecessor completed in wave ``k-1``, which is exactly the
     longest-path level.  Python-level cost is one iteration per level; all
-    per-node work is NumPy array operations."""
+    per-node work is NumPy array operations proportional to the edges
+    leaving the wave (no full-length pass per level)."""
     n = graph.n
     levels = np.zeros(n, dtype=np.int64)
-    indeg = graph.in_degrees().astype(np.int64).copy()
+    indeg = graph.in_degrees().astype(np.int64)
     succ_ptr, succ = graph.succ_ptr, graph.succ
-    frontier = np.nonzero(indeg == 0)[0]
+    frontier = np.flatnonzero(indeg == 0)
     lvl = 0
     while len(frontier):
         levels[frontier] = lvl
-        counts = succ_ptr[frontier + 1] - succ_ptr[frontier]
-        total = int(counts.sum())
+        lo = succ_ptr[frontier]
+        counts = succ_ptr[frontier + 1] - lo
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
         if total == 0:
             break
         # Flat positions of every successor edge leaving the frontier.
-        offsets = np.repeat(succ_ptr[frontier], counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+        flat = np.arange(total, dtype=np.int64) + np.repeat(
+            lo - ends + counts, counts
         )
-        targets = succ[offsets + within]
-        indeg -= np.bincount(targets, minlength=n)
-        frontier = np.unique(targets[indeg[targets] == 0])
+        targets = np.sort(succ[flat])
+        # Distinct targets and their edge counts, from the sorted run
+        # boundaries; the new frontier comes out sorted and unique.
+        bounds = np.empty(total + 1, dtype=bool)
+        bounds[0] = bounds[-1] = True
+        np.not_equal(targets[1:], targets[:-1], out=bounds[1:-1])
+        runs = np.flatnonzero(bounds)
+        hit = targets[runs[:-1]]
+        indeg[hit] -= runs[1:] - runs[:-1]
+        frontier = hit[indeg[hit] == 0]
         lvl += 1
     return levels

@@ -164,11 +164,13 @@ class InstrumentedRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         target = _innermost(self.inner)
         if target.name == "simulated":
             return self._run_simulated(
-                loop, order=order, schedule=schedule, chunk=chunk, trace=trace
+                loop, order=order, schedule=schedule, chunk=chunk, trace=trace,
+                fingerprint=fingerprint,
             )
 
         recorder = SpanRecorder()
@@ -178,7 +180,8 @@ class InstrumentedRunner(Runner):
         t0 = time.perf_counter()
         try:
             result = self.inner.run(
-                loop, order=order, schedule=schedule, chunk=chunk, trace=trace
+                loop, order=order, schedule=schedule, chunk=chunk, trace=trace,
+                fingerprint=fingerprint,
             )
         finally:
             target._obs_recorder = None
@@ -210,9 +213,11 @@ class InstrumentedRunner(Runner):
         schedule,
         chunk,
         trace: bool,
+        fingerprint: str | None,
     ) -> RunResult:
         result = self.inner.run(
-            loop, order=order, schedule=schedule, chunk=chunk, trace=True
+            loop, order=order, schedule=schedule, chunk=chunk, trace=True,
+            fingerprint=fingerprint,
         )
         result.telemetry = telemetry_from_result(result)
         if not trace:

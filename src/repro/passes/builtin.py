@@ -9,7 +9,7 @@ pass                 subsumes                    provides
 ===================  ==========================  =======================
 ``validate-options`` ``note_ignored_options``    ``options``
 ``fingerprint``      backend-private cache keys  ``fingerprint``
-``dependence-dag``   per-backend DAG builds      ``depgraph``
+``dependence-dag``   per-backend DAG builds      ``depgraph``, ``structure``
 ``level-schedule``   ``compute_levels`` calls    ``levels``
 ``doconsider``       ``Doconsider`` wrapper      ``order``
 ``coloring``         ``greedy_coloring`` (mesh)  ``coloring``
@@ -24,6 +24,13 @@ given :class:`~repro.passes.spec.PlanSpec`; any reordering that respects
 the declared contracts produces the same plan (tested in
 ``tests/test_passes.py``).
 
+Planning is amortized like the inspector: with a cache and a
+``fingerprint`` in the context, ``dependence-dag`` serves the loop's
+:class:`~repro.backends.cache.LoopStructure` (DAG plus level schedule)
+from the :class:`~repro.backends.cache.InspectorCache`, so a warm plan
+runs no dependence analysis at all.  Without either it computes the
+same structure uncached.
+
 Note on coloring: the color-major sweep order changes the *iterate
 sequence* of a sweep-style loop (valid for relaxation, not for exact
 replay), so ``coloring`` is analysis-only here — its output never feeds
@@ -36,10 +43,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.cache import build_inspector_record, loop_fingerprint
+from repro.backends.cache import (
+    analyze_structure,
+    build_inspector_record,
+    loop_fingerprint,
+)
 from repro.graph.coloring import greedy_coloring
-from repro.graph.depgraph import DependenceGraph
-from repro.graph.levels import compute_levels
 from repro.passes.base import PassContext, PassPipeline, SchedulePass
 from repro.passes.spec import AUTO_BACKEND, PlanSpec, check_options
 
@@ -92,26 +101,42 @@ class LoopFingerprintPass(SchedulePass):
 
 
 class DependenceDAGPass(SchedulePass):
-    """Materialize the true-dependence DAG in CSR form."""
+    """Materialize the true-dependence DAG in CSR form, with its level
+    schedule: the loop's :class:`~repro.backends.cache.LoopStructure`.
+
+    Served from the context's cache when there is one and an earlier
+    ``fingerprint`` pass keyed it; computed uncached otherwise.  The
+    ``structure`` artifact is ``{"analysis": LoopStructure, "cache":
+    "hit" | "miss" | "uncached"}``.
+    """
 
     name = "dependence-dag"
-    provides = ("depgraph",)
+    provides = ("depgraph", "structure")
 
     def run(self, ctx: PassContext) -> None:
-        ctx.set("depgraph", DependenceGraph.from_loop(ctx.loop))
+        if ctx.cache is not None and "fingerprint" in ctx:
+            structure, hit = ctx.cache.structure(
+                ctx.loop, ctx.get("fingerprint")
+            )
+            source = "hit" if hit else "miss"
+        else:
+            structure, source = analyze_structure(ctx.loop), "uncached"
+        ctx.set("depgraph", structure.graph)
+        ctx.set("structure", {"analysis": structure, "cache": source})
 
 
 class LevelSchedulePass(SchedulePass):
     """Wavefront (level) decomposition of the dependence DAG — the §3.2
     doconsider preprocessing, shared by every consumer instead of being
-    recomputed privately per backend."""
+    recomputed privately per backend.  Read from the structure the
+    ``dependence-dag`` pass served."""
 
     name = "level-schedule"
-    requires = ("depgraph",)
+    requires = ("structure",)
     provides = ("levels",)
 
     def run(self, ctx: PassContext) -> None:
-        ctx.set("levels", compute_levels(ctx.get("depgraph")))
+        ctx.set("levels", ctx.get("structure")["analysis"].schedule)
 
 
 class DoconsiderPass(SchedulePass):
@@ -223,19 +248,23 @@ class InspectorPass(SchedulePass):
     """Run (or fetch) the full vectorized preprocessing — the Figure-3
     inspector plus executor-ready term layout — through the shared
     :class:`~repro.backends.cache.InspectorCache` when the context has
-    one, so planning warms the same cache execution reads."""
+    one, so planning warms the same cache execution reads.  The record
+    is laid out from the plan's own structure analysis either way."""
 
     name = "inspector"
-    requires = ("fingerprint",)
+    requires = ("fingerprint", "structure")
     provides = ("record",)
 
     def run(self, ctx: PassContext) -> None:
+        fingerprint = ctx.get("fingerprint")
         if ctx.cache is not None:
             record, _hit = ctx.cache.get_or_build(
-                ctx.loop, fingerprint=ctx.get("fingerprint")
+                ctx.loop, fingerprint=fingerprint
             )
         else:
-            record = build_inspector_record(ctx.loop)
+            record = build_inspector_record(
+                ctx.loop, ctx.get("structure")["analysis"], fingerprint
+            )
         ctx.set("record", record)
 
 

@@ -52,6 +52,10 @@ def execute_plan(
 ) -> RunResult:
     """Execute ``loop`` as ``plan`` prescribes on the resolved backend.
 
+    ``plan`` must have been made for ``loop`` as it is now: its
+    fingerprint keys the backend's cache lookups without re-hashing the
+    index arrays.
+
     Only options the resolved backend supports are forwarded (per
     :data:`~repro.passes.spec.OPTION_SUPPORT`): when the auto-tuner
     rebases a chunked spec onto a chunk-less backend, the chunk is an
@@ -86,7 +90,9 @@ def execute_plan(
             _innermost(runner).cache.seed(record)
 
     supported = OPTION_SUPPORT[backend]
-    run_kwargs: dict = {}
+    # The fingerprint pass already hashed the loop: hand the digest down
+    # so the backend's cache lookups do not hash it again.
+    run_kwargs: dict = {"fingerprint": plan.fingerprint}
     if plan.order is not None:
         run_kwargs["order"] = plan.order
     if spec.schedule is not None and "schedule" in supported:

@@ -87,6 +87,10 @@ class Plan:
         if self.levels is not None:
             out["n_levels"] = int(self.levels.n_levels)
             out["max_wavefront"] = int(self.levels.max_width())
+        structure = self.artifacts.get("structure")
+        if structure is not None:
+            # "hit": the dependence analysis came from the cache.
+            out["structure_cache"] = structure["cache"]
         out["reorder"] = self.spec.reorder
         if self.chunk is not None:
             out["chunk"] = int(self.chunk)

@@ -39,7 +39,12 @@ from typing import Any, Dict, Hashable, List, Tuple
 
 import numpy as np
 
-from repro.ir.analysis import CAT_TRUE, classify_reads, writer_map
+from repro.ir.analysis import (
+    CAT_TRUE,
+    classify_reads,
+    sorted_unique,
+    unique_pairs,
+)
 from repro.sanitize.events import (
     EV_ACQUIRE,
     EV_BARRIER,
@@ -209,12 +214,20 @@ def _required_triples(loop) -> List[Tuple[int, int, int]]:
     mask = categories == CAT_TRUE
     if not mask.any():
         return []
-    elems = np.asarray(loop.reads.index)[mask]
-    trip = np.stack(
-        [writers[mask], readers[mask], elems.astype(np.int64)], axis=1
+    elems = np.asarray(loop.reads.index)[mask].astype(np.int64)
+    pair_keys = writers[mask] * loop.n + readers[mask]
+    distinct = sorted_unique(pair_keys)
+    # Dense (writer, reader) ranks keep lexicographic order and bound the
+    # (rank, element) key by terms x y_size.
+    rows = unique_pairs(np.searchsorted(distinct, pair_keys), elems, loop.y_size)
+    pairs = distinct[rows[:, 0]]
+    return list(
+        zip(
+            (pairs // loop.n).tolist(),
+            (pairs % loop.n).tolist(),
+            rows[:, 1].tolist(),
+        )
     )
-    trip = np.unique(trip, axis=0)
-    return [(int(w), int(r), int(e)) for w, r, e in trip]
 
 
 def required_pairs(loop) -> List[Tuple[int, int, int]]:

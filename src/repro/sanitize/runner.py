@@ -66,6 +66,7 @@ class SanitizingRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        fingerprint: str | None = None,
     ) -> RunResult:
         target = _innermost(self.inner)
         capture = ShadowCapture()
@@ -74,7 +75,7 @@ class SanitizingRunner(Runner):
         try:
             result = self.inner.run(
                 loop, order=order, schedule=schedule, chunk=chunk,
-                trace=trace,
+                trace=trace, fingerprint=fingerprint,
             )
         except WaitTimeout as exc:
             # The run died in a busy-wait: check whatever was logged

@@ -131,6 +131,9 @@ class TestParallelizeBackend:
             "capacity": 64,
             "hits": 1,
             "misses": 1,
+            "structure_entries": 1,
+            "structure_hits": 0,
+            "structure_misses": 1,
             "bytes": cache.stats()["bytes"],
             "tuner_entries": 0,
         }
