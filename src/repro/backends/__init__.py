@@ -23,10 +23,13 @@ benchmarks select them interchangeably (``parallelize(..., backend=...)``).
   with §2.3 strip-mined chunking, every wait bounded by a
   :class:`~repro.backends.waitladder.WaitLadder`.
 - :mod:`repro.backends.speculative` — the optimistic dual of the
-  inspector: chunks execute in parallel with no inspection at all,
-  conflicts are detected from per-chunk access logs after the fact, and
-  losers are rolled back and re-executed (bounded retry budget, then
-  sequential fallback).
+  inspector: each round executes every chunk in one batched wavefront
+  sweep with no cross-chunk synchronization, conflicts are detected from
+  per-chunk access logs after the fact, and losers are rolled back and
+  re-executed (bounded retry budget, then sequential fallback).
+- :mod:`repro.backends.layout` — the term layout and wavefront sweep
+  shared by the vectorized and speculative backends, and the per-chunk
+  term classifier shared with multiproc.
 - :mod:`repro.backends.cache` — the inspector cache (Figure-3 amortization
   with hit/miss counters).
 - :mod:`repro.backends.base` — the :class:`Runner` protocol and shared
@@ -244,7 +247,9 @@ def _build_runner(
         # Speculation never busy-waits, so wait_timeout has nothing to
         # bound (same silent no-op as on the vectorized backend); the
         # liveness bound is the retry budget instead.
-        runner = SpeculativeRunner(workers=processors, analyze=analyze)
+        runner = SpeculativeRunner(
+            workers=processors, analyze=analyze, cache=cache
+        )
     else:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of "

@@ -18,7 +18,7 @@ array, the read table's ``ptr``/``index`` arrays, and the static signature
 - coefficients and values are deliberately excluded: they do not affect
   who-writes-what, so a solver that rescales its matrix still hits.
 
-The cache holds two kinds of entry, each an LRU table of ``capacity``
+The cache holds three kinds of entry, each an LRU table of ``capacity``
 entries:
 
 - a **structure** entry (:class:`LoopStructure`), keyed by
@@ -30,7 +30,11 @@ entries:
   Figure 3's amortization applied to planning as well as to the
   inspector;
 - an **inspector record** (:class:`InspectorRecord`), built from the
-  structure entry on a miss.
+  structure entry on a miss;
+- a **chunk layout** (:class:`~repro.backends.layout.ChunkLayout`), keyed
+  by :func:`loop_fingerprint` and chunk size: the speculative backend's
+  in-chunk wavefronts and read logs, built from the structure entry on a
+  miss.
 
 An inspector record holds everything the vectorized backend's
 preprocessing produces: the paper's ``iter`` array, the wavefront
@@ -51,6 +55,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.backends.layout import ChunkLayout, build_chunk_layout, lay_out_terms
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
 from repro.graph.depgraph import DependenceGraph
@@ -263,60 +268,22 @@ def assemble_record(
     fingerprint: str,
     graph: DependenceGraph | None = None,
 ) -> InspectorRecord:
-    """Lay out an :class:`InspectorRecord` from classified terms.
+    """Lay out an :class:`InspectorRecord` from classified terms (the
+    term order itself is :func:`~repro.backends.layout.lay_out_terms`,
+    shared with the speculative backend's chunk layouts).
 
     Shared by the runtime inspector (:func:`build_inspector_record`) and
     the symbolic elision path (:func:`repro.analysis.build_symbolic_record`)
     — both feed the same deterministic layout, so records are bitwise
     comparable regardless of which side produced the classification.
     """
-    n, y_size = loop.n, loop.y_size
-    write = loop.write
-    ptr, index = loop.reads.ptr, loop.reads.index
-
-    # Execution order: level-major, term count descending inside a level
-    # so slot j's active iterations are always a leading prefix.
-    counts = np.diff(ptr)
-    exec_order = np.lexsort(
-        (np.arange(n, dtype=np.int64), -counts, schedule.levels)
-    ).astype(np.int64)
-
-    exec_counts = counts[exec_order]
-    exec_ptr = np.zeros(n + 1, dtype=np.int64)
-    exec_ptr[1:] = np.cumsum(exec_counts)
-    total = int(ptr[-1])
-
-    # Flat original-term position feeding each execution-ordered term.
-    term_source = (
-        np.repeat(ptr[exec_order] - exec_ptr[:-1], exec_counts)
-        + np.arange(total, dtype=np.int64)
+    y_size = loop.y_size
+    index = loop.reads.index
+    exec_order, exec_counts, exec_ptr, term_source, slot_active, slot_ptr = (
+        lay_out_terms(loop.reads.ptr, schedule)
     )
-
     env_index = index[term_source] + y_size * true_flat[term_source]
     intra = intra_flat[term_source]
-
-    # Per-level, per-slot active prefix lengths.
-    level_ptr = schedule.level_ptr
-    n_levels = schedule.n_levels
-    slot_counts = np.zeros(n_levels, dtype=np.int64)
-    actives: list[np.ndarray] = []
-    for k in range(n_levels):
-        lo, hi = int(level_ptr[k]), int(level_ptr[k + 1])
-        cnt = exec_counts[lo:hi]  # non-increasing by construction
-        maxc = int(cnt[0]) if hi > lo else 0
-        slot_counts[k] = maxc
-        if maxc:
-            # active[j] = #iterations in the level with count > j.
-            ascending = cnt[::-1]
-            active = (hi - lo) - np.searchsorted(
-                ascending, np.arange(maxc, dtype=np.int64), side="right"
-            )
-            actives.append(active.astype(np.int64))
-    slot_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    slot_ptr[1:] = np.cumsum(slot_counts)
-    slot_active = (
-        np.concatenate(actives) if actives else np.empty(0, dtype=np.int64)
-    )
 
     return InspectorRecord(
         fingerprint=fingerprint,
@@ -326,7 +293,7 @@ def assemble_record(
         exec_order=exec_order,
         exec_counts=exec_counts,
         exec_ptr=exec_ptr,
-        exec_write=write[exec_order],
+        exec_write=loop.write[exec_order],
         term_source=term_source,
         env_index=env_index,
         intra=intra,
@@ -337,14 +304,15 @@ def assemble_record(
 
 
 class InspectorCache:
-    """LRU cache of :class:`LoopStructure` and :class:`InspectorRecord`
-    entries keyed by loop content.
+    """LRU cache of :class:`LoopStructure`, :class:`InspectorRecord` and
+    :class:`~repro.backends.layout.ChunkLayout` entries keyed by loop
+    content.
 
     Parameters
     ----------
     capacity:
-        Maximum number of dependence structures retained, and of inspector
-        records retained; least recently used entries are evicted first.
+        Maximum number of entries retained in each of the three tables;
+        least recently used entries are evicted first.
 
     Attributes
     ----------
@@ -376,6 +344,7 @@ class InspectorCache:
         self.structure_misses = 0
         self._entries: OrderedDict[str, InspectorRecord] = OrderedDict()
         self._structures: OrderedDict[str, LoopStructure] = OrderedDict()
+        self._layouts: OrderedDict[tuple[str, int], ChunkLayout] = OrderedDict()
         self._tuner: dict[str, dict] = {}
 
     def __len__(self) -> int:
@@ -412,6 +381,23 @@ class InspectorCache:
         structure = analyze_structure(loop)
         self._put(self._structures, fp, structure)
         return structure, False
+
+    def chunk_layout(
+        self, loop: IrregularLoop, chunk: int, fingerprint: str | None = None
+    ) -> tuple[ChunkLayout, bool]:
+        """Return ``(layout, hit)`` for ``loop`` cut into chunks of
+        ``chunk`` iterations, building it from the structure entry on a
+        miss.  ``fingerprint`` must be ``loop_fingerprint(loop)``."""
+        fp = fingerprint if fingerprint is not None else loop_fingerprint(loop)
+        key = (fp, chunk)
+        layout = self._layouts.get(key)
+        if layout is not None:
+            self._layouts.move_to_end(key)
+            return layout, True
+        structure, _hit = self.structure(loop, fp)
+        layout = build_chunk_layout(loop, chunk, structure.graph)
+        self._put(self._layouts, key, layout)
+        return layout, False
 
     def get_or_build(
         self,
@@ -482,11 +468,12 @@ class InspectorCache:
         """Drop all entries, tuner state included (counters are kept)."""
         self._entries.clear()
         self._structures.clear()
+        self._layouts.clear()
         self._tuner.clear()
 
     def stats(self) -> dict:
         """Counters plus footprint, JSON-safe.  ``bytes`` counts every
-        cached array once, structure entries included."""
+        cached array once, structure entries and chunk layouts included."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,
@@ -495,8 +482,13 @@ class InspectorCache:
             "structure_entries": len(self._structures),
             "structure_hits": self.structure_hits,
             "structure_misses": self.structure_misses,
+            "layout_entries": len(self._layouts),
             "bytes": _nbytes(
-                [*self._entries.values(), *self._structures.values()]
+                [
+                    *self._entries.values(),
+                    *self._structures.values(),
+                    *self._layouts.values(),
+                ]
             ),
             "tuner_entries": len(self._tuner),
         }

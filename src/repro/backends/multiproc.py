@@ -62,6 +62,7 @@ from repro.backends.base import (
     validate_execution_order,
 )
 from repro.backends.cache import InspectorCache, loop_fingerprint
+from repro.backends.layout import chunk_term_codes
 from repro.backends.waitladder import DEFAULT_LADDER, WaitLadder
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
@@ -155,18 +156,7 @@ def _code_natural(sess: dict, lo: int, hi: int) -> np.ndarray:
     3 = intra-iteration (live accumulator).  Depends only on the loop's
     structure, so callers cache it per (structure, chunking)."""
     v = sess["views"]
-    ptr, index, it = v["ptr"], v["index"], v["iter"]
-    k0, k1 = int(ptr[lo]), int(ptr[hi])
-    writers = it[index[k0:k1]]
-    readers = np.repeat(
-        np.arange(lo, hi, dtype=np.int64), sess["counts"][lo:hi]
-    )
-    code = np.zeros(k1 - k0, dtype=np.int8)
-    code[writers == readers] = 3
-    true_dep = writers < readers
-    code[true_dep & (writers >= lo)] = 1
-    code[true_dep & (writers < lo)] = 2
-    return code
+    return chunk_term_codes(v["ptr"], v["index"], v["iter"], lo, hi)
 
 
 def _code_ordered(

@@ -4,24 +4,31 @@ The paper's inspector is pessimistic — it pays the Figure-3
 preprocessing cost up front to *prove* every cross-iteration dependence
 before executing anything.  This backend is the optimistic dual
 (PAPERS.md: "Speculative DOACROSS Loop Parallelization with taskloop",
-arXiv 2302.05506): execute contiguous chunks of iterations in parallel
-against a frozen snapshot of ``y`` with **no inspector run at all**,
-record each chunk's actual read/write element sets, then detect
-conflicts after the fact and re-execute the losers from the snapshot.
+arXiv 2302.05506): execute contiguous chunks of iterations against a
+frozen snapshot of ``y`` **without synchronizing on any cross-chunk
+dependence**, then detect conflicts after the fact from each chunk's
+read/write element sets and re-execute the losers from the snapshot.
 
 The round structure:
 
-1. **Speculate.**  Every pending chunk executes on the thread pool
-   against the committed array state (frozen for the round).  Writes
-   land in a chunk-private buffer; the elements each chunk read from the
-   snapshot (rather than from its own buffer) form its read log.
+1. **Speculate.**  Every chunk executes against the committed array
+   state (frozen for the round) in **one batched wavefront sweep**
+   (:func:`~repro.backends.layout.wavefront_sweep`, the vectorized
+   backend's level loop) over the chunk layout
+   (:class:`~repro.backends.layout.ChunkLayout`): the wavefronts are the
+   levels of the *in-chunk* dependence DAG, so all chunks advance
+   together, each reading its own earlier iterations from the renamed
+   ``new`` half of ``[y_committed | new]`` and everything else from the
+   snapshot.  The elements a chunk reads from the snapshot form its read
+   log.  Only pending chunks' results are used; the sweep runs the whole
+   layout, since per-level NumPy dispatch, not lane count, is its cost.
 2. **Commit.**  Chunks are considered *sequentially in chunk order*.  A
    chunk conflicts — and is rolled back to pending — if it read an
    element an earlier pending chunk wrote this round (RAW: its inputs
    were stale), or if it writes an element an already-deferred chunk
    read or wrote (WAR/WAW: committing it would corrupt the deferred
-   chunk's later re-execution).  A conflict-free chunk's buffer is
-   applied to the committed state; its values are final.
+   chunk's later re-execution).  A conflict-free chunk's new values are
+   copied into the committed state; they are final.
 3. **Fixpoint.**  Deferred chunks re-execute next round against the
    updated state.  The earliest pending chunk can never conflict, so
    every round commits at least one chunk and the fixpoint needs at most
@@ -30,13 +37,20 @@ The round structure:
    plain sequential execution of whatever is still pending — the
    liveness guarantee the wait-free protocol otherwise lacks.
 
-Correctness does not depend on thread timing: the snapshot is frozen
-during the parallel phase, buffers are private, and conflict decisions
-are computed from deterministic element sets in deterministic chunk
-order — so ``speculation_rounds`` and the final values are reproducible
-run to run, and a committed chunk provably read exactly the values the
-sequential oracle would have (per-iteration term order is the oracle's,
-so equality is bitwise, not approximate).
+The chunk layout is structure-only — which reads hit the snapshot, the
+in-chunk levels, the per-chunk read logs depend on subscripts, never on
+values — so it is built once per ``(loop_fingerprint, chunk)`` and kept
+in the :class:`~repro.backends.cache.InspectorCache` when the runner has
+one (``cache=None`` builds it on every call).  ``workers`` runs no
+threads: it sets the default chunk count, ``ceil(n / (4 * workers))``
+iterations per chunk, and the reported ``processors``.
+
+Everything is deterministic: the snapshot is frozen during the sweep and
+conflict decisions are computed from structure-only element sets in
+chunk order — so ``speculation_rounds`` and the final values are
+reproducible run to run, and a committed chunk provably read exactly the
+values the sequential oracle would have (per-iteration term order is the
+oracle's, so equality is bitwise, not approximate).
 
 Sanitize composition: only *committed* executions are shadow-logged
 (a rolled-back attempt is discarded work, not part of the witnessed
@@ -49,7 +63,6 @@ a transitive happens-before edge the detector can replay.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,9 +71,14 @@ from repro.backends.base import (
     note_ignored_options,
     validate_execution_order,
 )
+from repro.backends.cache import InspectorCache, loop_fingerprint
+from repro.backends.layout import (
+    ChunkLayout,
+    build_chunk_layout,
+    wavefront_sweep,
+)
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
-from repro.ir.analysis import writer_map
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_PHASE
@@ -75,8 +93,14 @@ DEFAULT_MAX_ROUNDS = 8
 
 
 class SpeculativeRunner(Runner):
-    """Optimistic chunk-parallel execution with post-hoc conflict
-    detection, rollback, and a sequential-fallback retry budget.
+    """Optimistic chunked execution with post-hoc conflict detection,
+    rollback, and a sequential-fallback retry budget.
+
+    ``workers`` sets the default chunk size (``ceil(n / (4 * workers))``)
+    and the reported ``processors``; execution itself is one batched
+    sweep per round, not a thread pool.  ``cache`` keeps the chunk
+    layouts (and the dependence structure they are cut from) across
+    calls; without one they are rebuilt on every call.
 
     ``analyze="symbolic"`` attaches the symbolic verdict to the result
     for diagnosis; unlike the inspector backends there is no inspector
@@ -91,6 +115,7 @@ class SpeculativeRunner(Runner):
         chunk: int | None = None,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         analyze: str | None = None,
+        cache: InspectorCache | None = None,
     ):
         from repro.backends.vectorized import ANALYZE_MODES
 
@@ -114,6 +139,7 @@ class SpeculativeRunner(Runner):
         #: contract, same spirit as the multiproc WaitLadder).
         self.max_rounds = max_rounds
         self.analyze = analyze
+        self.cache = cache
 
     # ------------------------------------------------------------------
     def run(
@@ -134,8 +160,8 @@ class SpeculativeRunner(Runner):
         natural chunk order, and any *valid* execution order produces the
         same values, so reordering buys nothing here.  ``schedule`` and
         ``trace`` are ignored and recorded in
-        ``result.extras["ignored_options"]``.  ``fingerprint`` is unused:
-        this backend keeps no inspector cache.
+        ``result.extras["ignored_options"]``.  ``fingerprint`` is the
+        loop's digest when the caller already has it; it keys the cache.
         """
         verdict = None
         if self.analyze is not None:
@@ -148,7 +174,12 @@ class SpeculativeRunner(Runner):
                 cross_check(loop, verdict, strict=True)
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
-            validate_execution_order(loop, order)
+            graph = None
+            if self.cache is not None:
+                if fingerprint is None:
+                    fingerprint = loop_fingerprint(loop)
+                graph = self.cache.structure(loop, fingerprint)[0].graph
+            validate_execution_order(loop, order, graph)
         if chunk is not None and chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         cs = chunk if chunk is not None else self.chunk
@@ -156,8 +187,14 @@ class SpeculativeRunner(Runner):
             cs = max(1, -(-loop.n // (4 * self.workers)))
 
         t0 = time.perf_counter()
-        y, stats = self._execute(loop, cs)
+        if self.cache is None:
+            layout, layout_cache = build_chunk_layout(loop, cs), "uncached"
+        else:
+            layout, hit = self.cache.chunk_layout(loop, cs, fingerprint)
+            layout_cache = "hit" if hit else "miss"
+        y, stats = self._execute(loop, layout)
         wall = time.perf_counter() - t0
+        stats["layout_cache"] = layout_cache
 
         cm = CostModel()
         result = RunResult(
@@ -231,9 +268,10 @@ class SpeculativeRunner(Runner):
 
     # ------------------------------------------------------------------
     def _execute(
-        self, loop: IrregularLoop, cs: int
+        self, loop: IrregularLoop, layout: ChunkLayout
     ) -> tuple[np.ndarray, dict]:
-        n = loop.n
+        n, y_size = loop.n, loop.y_size
+        cs = layout.chunk
         write = loop.write
         ptr, r_idx, r_coeff = (
             loop.reads.ptr,
@@ -244,14 +282,15 @@ class SpeculativeRunner(Runner):
         init_values = loop.init_values
 
         y = loop.y0.copy()
-        n_chunks = -(-n // cs) if n else 0
-        # writer_of[e] = the iteration writing element e, or -1: the
-        # ir-level access map the read logs are classified against.
-        writer_of = writer_map(loop)
+        n_chunks = layout.n_chunks
+        # Per-run values in the layout's execution order; the round's
+        # environment is [y_committed | new].
+        coeff = r_coeff[layout.term_source]
+        init = init_values[layout.exec_order] if external else None
+        env = np.empty(2 * y_size, dtype=np.float64)
         #: Elements written by a committed chunk so far — drives the
-        #: sanitizer's old/new source flags; frozen during each parallel
-        #: phase, grown only at commits.
-        written = np.zeros(loop.y_size, dtype=bool)
+        #: sanitizer's old/new source flags; grown only at commits.
+        written = np.zeros(y_size, dtype=bool)
         rec = self._obs_recorder
         san = self._san_capture
         logging = san is not None
@@ -261,65 +300,30 @@ class SpeculativeRunner(Runner):
         def bounds(c: int) -> tuple[int, int]:
             return c * cs, min(n, (c + 1) * cs)
 
-        def read_log(c: int) -> np.ndarray:
-            """Elements chunk ``c`` reads from the snapshot — its
-            conflict-detection read log.
-
-            Which reads hit the snapshot (vs. the chunk's own buffer or
-            the live accumulator) depends only on subscripts, never on
-            values, so the log is computed once from the CSR read table
-            and the writer map and reused across re-execution rounds: a
-            term ``y[idx]`` of iteration ``i`` is served locally exactly
-            when ``idx``'s writer is ``i`` itself (the accumulator) or an
-            earlier iteration of the same chunk (the buffer).
-            """
+        def chunk_events(c: int, written0: np.ndarray) -> list:
+            """The shadow log of chunk ``c``'s speculative execution, in
+            program order.  The accumulator seed and intra-iteration reads
+            are not logged (the write subscript is injective, so they can
+            never conflict); in-chunk true dependences read the new value,
+            snapshot reads are flagged by the round-start ``written0``."""
             lo, hi = bounds(c)
-            elems = r_idx[ptr[lo]:ptr[hi]]
-            iters = np.repeat(
-                np.arange(lo, hi, dtype=np.int64),
-                np.diff(ptr[lo:hi + 1]),
+            k0, k1 = int(ptr[lo]), int(ptr[hi])
+            codes = layout.codes[k0:k1]
+            elems = r_idx[k0:k1]
+            srcs = np.where(codes == 1, 1, written0[elems])
+            terms = list(
+                zip(elems.tolist(), srcs.tolist(), (codes != 3).tolist())
             )
-            wm = writer_of[elems]
-            return np.unique(elems[(wm < lo) | (wm > iters)])
-
-        def run_chunk(c: int) -> tuple[dict, list | None]:
-            """Execute chunk ``c`` against the frozen snapshot.
-
-            Returns the private write buffer and — when the sanitizer is
-            attached — the shadow events to replay if this attempt
-            commits.  Per-iteration term order is the oracle's, so a
-            committed buffer is bitwise what sequential execution would
-            have produced from the same inputs.
-            """
-            lo, hi = bounds(c)
-            buf: dict = {}
-            events: list | None = [] if logging else None
-            for i in range(lo, hi):
-                w = write[i]
-                # The write subscript is injective (no output deps), so
-                # no other iteration ever writes w: the initial read can
-                # never conflict and is not logged (threaded-backend
-                # convention for the accumulator seed).
-                acc = init_values[i] if external else y[w]
-                for k in range(ptr[i], ptr[i + 1]):
-                    idx = r_idx[k]
-                    if idx == w:
-                        value = acc
-                    elif idx in buf:
-                        value = buf[idx]
-                        if events is not None:
-                            events.append(("r", i, int(idx), 1))
-                    else:
-                        value = y[idx]
-                        if events is not None:
-                            events.append(
-                                ("r", i, int(idx), 1 if written[idx] else 0)
-                            )
-                    acc += r_coeff[k] * value
-                buf[w] = acc
-                if events is not None:
-                    events.append(("w", i, int(w)))
-            return buf, events
+            counts = np.diff(ptr[lo : hi + 1]).tolist()
+            events: list = []
+            t = 0
+            for i, w, m in zip(range(lo, hi), write[lo:hi].tolist(), counts):
+                for idx, src, logged in terms[t : t + m]:
+                    if logged:
+                        events.append(("r", i, idx, src))
+                t += m
+                events.append(("w", i, w))
+            return events
 
         commits = 0
 
@@ -338,65 +342,63 @@ class SpeculativeRunner(Runner):
         rolled_back = 0
         conflicted: set = set()
         pending = list(range(n_chunks))
-        read_logs = {c: read_log(c) for c in pending}
         fallback = False
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            while pending:
-                if rounds >= self.max_rounds:
-                    fallback = True
-                    break
-                rounds += 1
-                if rec is not None:
-                    t_spec = now()
-                futures = [pool.submit(run_chunk, c) for c in pending]
-                results = [f.result() for f in futures]
-                if rec is not None:
-                    t_commit = now()
-                    spans.append((
-                        "speculate", CAT_PHASE, t_spec, t_commit, 0,
-                        {"round": rounds, "chunks": len(pending)},
-                    ))
-                pending_w = np.zeros(loop.y_size, dtype=bool)
-                deferred_rw = np.zeros(loop.y_size, dtype=bool)
-                next_pending: list[int] = []
-                for c, (buf, events) in zip(pending, results):
-                    lo, hi = bounds(c)
-                    w_slice = write[lo:hi]
-                    reads = read_logs[c]
-                    if self._conflicts(reads, w_slice, pending_w, deferred_rw):
-                        pending_w[w_slice] = True
-                        deferred_rw[reads] = True
-                        deferred_rw[w_slice] = True
-                        next_pending.append(c)
-                        rolled_back += 1
-                        conflicted.add(c)
-                        continue
+        while pending:
+            if rounds >= self.max_rounds:
+                fallback = True
+                break
+            rounds += 1
+            if rec is not None:
+                t_spec = now()
+            # One sweep executes every chunk against the frozen snapshot;
+            # only pending chunks' results are ever copied out.
+            env[:y_size] = y
+            wavefront_sweep(layout, env, y_size, coeff, init)
+            if logging:
+                written0 = written.copy()
+            if rec is not None:
+                t_commit = now()
+                spans.append((
+                    "speculate", CAT_PHASE, t_spec, t_commit, 0,
+                    {"round": rounds, "chunks": len(pending)},
+                ))
+            pending_w = np.zeros(y_size, dtype=bool)
+            deferred_rw = np.zeros(y_size, dtype=bool)
+            next_pending: list[int] = []
+            for c in pending:
+                lo, hi = bounds(c)
+                w_slice = write[lo:hi]
+                reads = layout.read_log(c)
+                if self._conflicts(reads, w_slice, pending_w, deferred_rw):
                     pending_w[w_slice] = True
-                    elems = np.fromiter(
-                        buf.keys(), dtype=np.int64, count=len(buf)
-                    )
-                    y[elems] = np.fromiter(
-                        buf.values(), dtype=np.float64, count=len(buf)
-                    )
-                    written[elems] = True
-                    if logging:
-                        commit_events(c, events)
-                if rec is not None:
-                    spans.append((
-                        "commit", CAT_PHASE, t_commit, now(), 0,
-                        {
-                            "round": rounds,
-                            "committed": len(pending) - len(next_pending),
-                            "deferred": len(next_pending),
-                        },
-                    ))
-                pending = next_pending
+                    deferred_rw[reads] = True
+                    deferred_rw[w_slice] = True
+                    next_pending.append(c)
+                    rolled_back += 1
+                    conflicted.add(c)
+                    continue
+                pending_w[w_slice] = True
+                y[w_slice] = env[y_size + w_slice]
+                written[w_slice] = True
+                if logging:
+                    commit_events(c, chunk_events(c, written0))
+            if rec is not None:
+                spans.append((
+                    "commit", CAT_PHASE, t_commit, now(), 0,
+                    {
+                        "round": rounds,
+                        "committed": len(pending) - len(next_pending),
+                        "deferred": len(next_pending),
+                    },
+                ))
+            pending = next_pending
 
         fallback_chunks = len(pending)
         if pending:
             # Retry budget exhausted: execute the stragglers sequentially
             # in chunk order straight against the committed state — exact
-            # by construction, and bounded time by construction.
+            # by construction, and bounded time by construction.  The
+            # file's one scalar loop body.
             if rec is not None:
                 t_fb = now()
             for c in pending:

@@ -51,6 +51,7 @@ from repro.backends.cache import (
     InspectorRecord,
     loop_fingerprint,
 )
+from repro.backends.layout import wavefront_sweep
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
@@ -63,6 +64,41 @@ __all__ = ["VectorizedRunner", "ANALYZE_MODES"]
 #: Accepted values for the ``analyze`` option (here and on
 #: :func:`~repro.backends.make_runner` / ``parallelize``).
 ANALYZE_MODES = (None, "symbolic", "symbolic+check")
+
+
+def _log_levels(san, record: InspectorRecord, y_size: int) -> None:
+    """Shadow-log a record's execution, which depends on structure only.
+
+    Lanes are wavefront levels; the synthetic token -(k+1) posted by
+    level k and acquired by level k+1 is the log's rendering of "levels
+    execute strictly in order".
+    """
+    exec_order, exec_ptr = record.exec_order, record.exec_ptr
+    exec_write, env_index, intra = (
+        record.exec_write, record.env_index, record.intra
+    )
+    level_ptr = record.schedule.level_ptr
+    n_levels = record.schedule.n_levels
+    san.meta["levels"] = n_levels
+    for k in range(n_levels):
+        p0, p1 = int(level_ptr[k]), int(level_ptr[k + 1])
+        lane = san.lane(k)
+        if k > 0:
+            lane.append(("a", -k))
+        tt0, tt1 = int(exec_ptr[p0]), int(exec_ptr[p1])
+        keep = ~intra[tt0:tt1]
+        ei = env_index[tt0:tt1][keep]
+        iters = np.repeat(
+            exec_order[p0:p1], np.diff(exec_ptr[p0 : p1 + 1])
+        )[keep]
+        srcs = (ei >= y_size).astype(np.int64)
+        if len(ei):
+            lane.append(
+                ("R", iters, np.where(srcs == 1, ei - y_size, ei), srcs)
+            )
+        lane.append(("W", exec_order[p0:p1].copy(), exec_write[p0:p1].copy()))
+        if k + 1 < n_levels:
+            lane.append(("p", -(k + 1)))
 
 
 class VectorizedRunner(Runner):
@@ -331,20 +367,16 @@ class VectorizedRunner(Runner):
         ``loop.y0``).  Returns the final ``y`` (a fresh array)."""
         n, y_size = loop.n, loop.y_size
         exec_order = record.exec_order
-        exec_ptr = record.exec_ptr
         exec_write = record.exec_write
-        env_index = record.env_index
-        intra = record.intra
         level_ptr = record.schedule.level_ptr
-        slot_active, slot_ptr = record.slot_active, record.slot_ptr
 
         if y is None:
             y = loop.y0
         # Per-run values: coefficients permuted into execution order, and
         # the per-iteration initial accumulators.
         coeff = loop.reads.coeff[record.term_source]
-        external = loop.init_kind == INIT_EXTERNAL
-        if external:
+        init = None
+        if loop.init_kind == INIT_EXTERNAL:
             init = (
                 init_values if init_values is not None else loop.init_values
             )[exec_order]
@@ -360,74 +392,35 @@ class VectorizedRunner(Runner):
         san = self._san_capture
         n_levels = record.schedule.n_levels
         if san is not None:
-            # Shadow lanes are wavefront levels; the synthetic token
-            # -(k+1) posted by level k and acquired by level k+1 is the
-            # log's rendering of "levels execute strictly in order".
-            san.meta["levels"] = n_levels
-        # Per-level spans buffer locally and flush once — a locked
+            _log_levels(san, record, y_size)
+        # Level boundaries are stamped into a flat list by the sweep and
+        # turned into span rows afterwards, flushed once — a locked
         # record() per wavefront costs ~3µs, which on a many-level loop
         # is a measurable fraction of the whole run (tested budget:
         # observe=True adds <10% wall time).
-        buf: list[tuple] = []
-        widths: list[int] = []
+        stamps: list[float] | None = None
         if rec is not None:
             now = rec.now
             t_exec = now()
+            stamps = []
 
-        for k in range(n_levels):
-            if rec is not None:
-                t_level = now()
-            p0, p1 = int(level_ptr[k]), int(level_ptr[k + 1])
-            if san is not None:
-                lane = san.lane(k)
-                if k > 0:
-                    lane.append(("a", -k))
-                tt0, tt1 = int(exec_ptr[p0]), int(exec_ptr[p1])
-                keep = ~intra[tt0:tt1]
-                ei = env_index[tt0:tt1][keep]
-                iters = np.repeat(
-                    exec_order[p0:p1], np.diff(exec_ptr[p0 : p1 + 1])
-                )[keep]
-                srcs = (ei >= y_size).astype(np.int64)
-                if len(ei):
-                    lane.append(
-                        ("R", iters, np.where(srcs == 1, ei - y_size, ei),
-                         srcs)
-                    )
-                lane.append(
-                    ("W", exec_order[p0:p1].copy(), exec_write[p0:p1].copy())
-                )
-                if k + 1 < n_levels:
-                    lane.append(("p", -(k + 1)))
-            if external:
-                acc = init[p0:p1].copy()
-            else:
-                acc = env[exec_write[p0:p1]]
-            base = exec_ptr[p0 : p1 + 1]
-            for j in range(int(slot_ptr[k + 1] - slot_ptr[k])):
-                m = int(slot_active[slot_ptr[k] + j])
-                kk = base[:m] + j
-                vals = env[env_index[kk]]
-                a = acc[:m]
-                # Same op order as the oracle: acc += coeff * value, with
-                # value = live accumulator for intra-iteration reads.
-                acc[:m] = a + coeff[kk] * np.where(intra[kk], a, vals)
-            env[y_size + exec_write[p0:p1]] = acc
-            if rec is not None:
-                buf.append((
-                    f"level[{k}]", CAT_LEVEL, t_level, now(), 0,
-                    {"level": k, "width": p1 - p0},
-                ))
-            if met is not None:
-                widths.append(p1 - p0)
+        wavefront_sweep(record, env, y_size, coeff, init, stamps)
 
-        if met is not None and widths:
-            met.observe_many("level_width", widths)
+        if met is not None and n_levels:
+            met.observe_many("level_width", np.diff(level_ptr).tolist())
         if rec is not None:
             t_post = now()
+            widths = np.diff(level_ptr).tolist()
+            buf = [
+                (
+                    f"level[{k}]", CAT_LEVEL, stamps[k], stamps[k + 1], 0,
+                    {"level": k, "width": widths[k]},
+                )
+                for k in range(n_levels)
+            ]
             buf.append((
                 "executor", CAT_PHASE, t_exec, t_post, 0,
-                {"levels": record.schedule.n_levels},
+                {"levels": n_levels},
             ))
             rec.record_batch(buf)
         out = np.array(y, dtype=np.float64, copy=True)

@@ -1,8 +1,10 @@
 """Speculative-backend benchmark: the conflict-density crossover.
 
 The speculative backend is the optimistic dual of the paper's
-inspector: it skips preprocessing entirely, executes chunks in
-parallel, and pays for conflicts after the fact with rollbacks.  Its
+inspector: it synchronizes no cross-chunk dependence, executes every
+chunk of a round in one batched wavefront sweep (each chunk against its
+own in-chunk dependences only), and pays for conflicts after the fact
+with rollbacks.  Its
 benchmark is therefore a *frontier sweep*, not a single race: the
 :func:`~repro.workloads.synthetic.conflict_frontier_loop` workload
 dials the fraction of conflicting chunk boundaries from 0 (a DOALL)
@@ -15,7 +17,7 @@ Both sides of the crossover are gated at full size:
 
 - **speculation wins where inspection is pessimism**: on the
   zero/low-conflict frontier points the speculative wall beats the
-  threaded inspector path (no preprocessing, no per-element sync), and
+  threaded inspector path (no per-element sync), and
   the recorded counters prove why (``rounds == 1``, zero rollbacks);
 - **speculation loses where conflicts are dense**: on the
   ``fraction=1.0`` frontier every round commits one chunk and the

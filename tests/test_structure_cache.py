@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.backends.cache as cache_mod
+import repro.backends.layout as layout_mod
 import repro.graph.levels as levels_mod
 import repro.ir.analysis as analysis_mod
 from repro import InspectorCache, PlanSpec, parallelize
@@ -35,6 +36,7 @@ COUNTED = (
     ("dependence_pairs", analysis_mod.dependence_pairs),
     ("compute_levels", levels_mod.compute_levels),
     ("loop_fingerprint", cache_mod.loop_fingerprint),
+    ("build_chunk_layout", layout_mod.build_chunk_layout),
 )
 
 
@@ -104,7 +106,7 @@ class TestPlanOncePerStructure:
         assert calls["dependence_pairs"] == 1
         assert calls["compute_levels"] == 1
 
-    @pytest.mark.parametrize("backend", ("vectorized", "multiproc"))
+    @pytest.mark.parametrize("backend", ("vectorized", "multiproc", "speculative"))
     def test_warm_call_hashes_the_loop_once(self, loop, calls, backend):
         cache = InspectorCache()
         spec = PlanSpec(backend=backend, processors=2)
@@ -116,7 +118,33 @@ class TestPlanOncePerStructure:
             "dependence_pairs": 0,
             "compute_levels": 0,
             "loop_fingerprint": 1,
+            "build_chunk_layout": 0,
         }
+
+    @pytest.mark.parametrize("shared", (False, True))
+    def test_speculative_cold_call_builds_the_layout_once(self, loop, calls, shared):
+        cache = InspectorCache() if shared else None
+        spec = PlanSpec(backend="speculative", processors=2)
+        result, _ = parallelize(loop, spec=spec, cache=cache)
+        assert np.array_equal(result.y, loop.run_sequential())
+        assert calls["build_chunk_layout"] == 1
+        # Without a cache, planning and the layout build each analyze.
+        assert calls["dependence_pairs"] == (1 if shared else 2)
+        # The loop's DAG, then the in-chunk DAG the layout sweeps.
+        assert calls["compute_levels"] == 2
+        expected = "miss" if shared else "uncached"
+        assert result.extras["speculation"]["layout_cache"] == expected
+
+    def test_speculative_warm_order_validation_reads_the_cache(self, loop, calls):
+        cache = InspectorCache()
+        spec = PlanSpec(backend="speculative", processors=2, reorder="doconsider")
+        assert plan_loop(loop, spec, cache=cache).order is not None
+        parallelize(loop, spec=spec, cache=cache)
+        _reset(calls)
+        result, _ = parallelize(loop, spec=spec, cache=cache)
+        assert np.array_equal(result.y, loop.run_sequential())
+        assert calls["dependence_pairs"] == 0
+        assert calls["build_chunk_layout"] == 0
 
 
 class TestBitwiseAcrossCacheStates:

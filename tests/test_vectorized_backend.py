@@ -134,6 +134,7 @@ class TestParallelizeBackend:
             "structure_entries": 1,
             "structure_hits": 0,
             "structure_misses": 1,
+            "layout_entries": 0,
             "bytes": cache.stats()["bytes"],
             "tuner_entries": 0,
         }
