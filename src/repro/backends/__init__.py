@@ -18,9 +18,10 @@ benchmarks select them interchangeably (``parallelize(..., backend=...)``).
   giving real wall-clock parallel throughput on CPython; preprocessing is
   served by a content-addressed :class:`InspectorCache`.
 - :mod:`repro.backends.multiproc` — the doacross protocol across real OS
-  processes: a persistent worker pool busy-waits on
+  processes: a process-wide worker pool busy-waits on
   ``multiprocessing.shared_memory`` arrays (``iter``/``ready``/``ynew``)
-  with §2.3 strip-mined chunking, every wait bounded by a
+  with §2.3 strip-mined chunking, each strip in its own wavefront order,
+  every wait bounded by a
   :class:`~repro.backends.waitladder.WaitLadder`.
 - :mod:`repro.backends.speculative` — the optimistic dual of the
   inspector: each round executes every chunk in one batched wavefront
@@ -28,8 +29,9 @@ benchmarks select them interchangeably (``parallelize(..., backend=...)``).
   per-chunk access logs after the fact, and losers are rolled back and
   re-executed (bounded retry budget, then sequential fallback).
 - :mod:`repro.backends.layout` — the term layout and wavefront sweep
-  shared by the vectorized and speculative backends, and the per-chunk
-  term classifier shared with multiproc.
+  shared by the vectorized and speculative backends, the per-chunk term
+  classifier, and the in-chunk levelling the speculative and multiproc
+  backends share.
 - :mod:`repro.backends.cache` — the inspector cache (Figure-3 amortization
   with hit/miss counters).
 - :mod:`repro.backends.base` — the :class:`Runner` protocol and shared

@@ -100,7 +100,11 @@ class Runner(abc.ABC):
         trace: bool = False,
         fingerprint: str | None = None,
     ) -> RunResult:
-        """Execute ``loop`` and return its :class:`RunResult`."""
+        """Execute ``loop`` and return its :class:`RunResult`.
+
+        A backend may accept further keyword options (the multiproc and
+        speculative ``structure``); wrapper runners pass them through.
+        """
         raise NotImplementedError
 
 

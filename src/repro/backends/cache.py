@@ -18,7 +18,7 @@ array, the read table's ``ptr``/``index`` arrays, and the static signature
 - coefficients and values are deliberately excluded: they do not affect
   who-writes-what, so a solver that rescales its matrix still hits.
 
-The cache holds three kinds of entry, each an LRU table of ``capacity``
+The cache holds four kinds of entry, each an LRU table of ``capacity``
 entries:
 
 - a **structure** entry (:class:`LoopStructure`), keyed by
@@ -34,7 +34,10 @@ entries:
 - a **chunk layout** (:class:`~repro.backends.layout.ChunkLayout`), keyed
   by :func:`loop_fingerprint` and chunk size: the speculative backend's
   in-chunk wavefronts and read logs, built from the structure entry on a
-  miss.
+  miss;
+- an **in-chunk order** (:func:`~repro.backends.layout.in_chunk_order`),
+  keyed the same way: the order the multiproc backend runs natural-order
+  loops in, built from the structure entry on a miss.
 
 An inspector record holds everything the vectorized backend's
 preprocessing produces: the paper's ``iter`` array, the wavefront
@@ -55,7 +58,12 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.backends.layout import ChunkLayout, build_chunk_layout, lay_out_terms
+from repro.backends.layout import (
+    ChunkLayout,
+    build_chunk_layout,
+    in_chunk_order,
+    lay_out_terms,
+)
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
 from repro.graph.depgraph import DependenceGraph
@@ -304,14 +312,14 @@ def assemble_record(
 
 
 class InspectorCache:
-    """LRU cache of :class:`LoopStructure`, :class:`InspectorRecord` and
-    :class:`~repro.backends.layout.ChunkLayout` entries keyed by loop
-    content.
+    """LRU cache of :class:`LoopStructure`, :class:`InspectorRecord`,
+    :class:`~repro.backends.layout.ChunkLayout` and in-chunk order entries
+    keyed by loop content.
 
     Parameters
     ----------
     capacity:
-        Maximum number of entries retained in each of the three tables;
+        Maximum number of entries retained in each of the four tables;
         least recently used entries are evicted first.
 
     Attributes
@@ -345,6 +353,7 @@ class InspectorCache:
         self._entries: OrderedDict[str, InspectorRecord] = OrderedDict()
         self._structures: OrderedDict[str, LoopStructure] = OrderedDict()
         self._layouts: OrderedDict[tuple[str, int], ChunkLayout] = OrderedDict()
+        self._orders: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
         self._tuner: dict[str, dict] = {}
 
     def __len__(self) -> int:
@@ -398,6 +407,24 @@ class InspectorCache:
         layout = build_chunk_layout(loop, chunk, structure.graph)
         self._put(self._layouts, key, layout)
         return layout, False
+
+    def chunk_order(
+        self, loop: IrregularLoop, chunk: int, fingerprint: str | None = None
+    ) -> tuple[np.ndarray, bool]:
+        """Return ``(order, hit)``: ``loop``'s
+        :func:`~repro.backends.layout.in_chunk_order` for chunks of
+        ``chunk`` iterations, built from the structure entry on a miss.
+        ``fingerprint`` must be ``loop_fingerprint(loop)``."""
+        fp = fingerprint if fingerprint is not None else loop_fingerprint(loop)
+        key = (fp, chunk)
+        order = self._orders.get(key)
+        if order is not None:
+            self._orders.move_to_end(key)
+            return order, True
+        structure, _hit = self.structure(loop, fp)
+        order = in_chunk_order(structure.graph, chunk)
+        self._put(self._orders, key, order)
+        return order, False
 
     def get_or_build(
         self,
@@ -469,11 +496,13 @@ class InspectorCache:
         self._entries.clear()
         self._structures.clear()
         self._layouts.clear()
+        self._orders.clear()
         self._tuner.clear()
 
     def stats(self) -> dict:
         """Counters plus footprint, JSON-safe.  ``bytes`` counts every
-        cached array once, structure entries and chunk layouts included."""
+        cached array once, structure entries, chunk layouts and in-chunk
+        orders included."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,
@@ -483,12 +512,14 @@ class InspectorCache:
             "structure_hits": self.structure_hits,
             "structure_misses": self.structure_misses,
             "layout_entries": len(self._layouts),
+            "order_entries": len(self._orders),
             "bytes": _nbytes(
                 [
                     *self._entries.values(),
                     *self._structures.values(),
                     *self._layouts.values(),
                 ]
-            ),
+            )
+            + sum(order.nbytes for order in self._orders.values()),
             "tuner_entries": len(self._tuner),
         }

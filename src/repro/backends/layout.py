@@ -10,9 +10,12 @@ arithmetic — and therefore bitwise equality with the sequential oracle —
 is one piece of code.
 
 :func:`chunk_term_codes` is the paper's Figure-5 ``iter`` check
-precomputed for a chunk of iterations: the same classification the
-multiproc executor reads per term and the speculative layout resolves
-into gather indices.
+precomputed for a chunk of iterations, which the speculative layout
+resolves into gather indices (the multiproc executor reads the same
+classification per term, made against its chunks' execution positions).  :func:`in_chunk_schedule` levels each chunk's own
+part of the dependence DAG: the speculative layout sweeps its levels, and
+:func:`in_chunk_order` — doconsider inside each §2.3 strip — is the order
+the multiproc backend runs natural-order loops in.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from repro.ir.loop import IrregularLoop
 __all__ = [
     "lay_out_terms",
     "chunk_term_codes",
+    "in_chunk_schedule",
+    "in_chunk_order",
     "ChunkLayout",
     "build_chunk_layout",
     "wavefront_sweep",
@@ -124,6 +129,29 @@ def chunk_term_codes(
     return code
 
 
+def in_chunk_schedule(graph: DependenceGraph, chunk: int) -> LevelSchedule:
+    """Levels of the *in-chunk* DAG: the edges of ``graph`` (a loop's
+    true-dependence DAG) whose writer and reader fall in the same chunk
+    of ``chunk`` iterations."""
+    pairs = graph.pairs()
+    same = pairs[:, 0] // chunk == pairs[:, 1] // chunk
+    return compute_levels(DependenceGraph(graph.n, pairs[same]))
+
+
+def in_chunk_order(graph: DependenceGraph, chunk: int) -> np.ndarray:
+    """Doconsider inside each strip: iterations sorted by ``(chunk, level
+    in the in-chunk DAG, index)``.
+
+    Structure-only and a legal execution order: a true dependence inside
+    a chunk points to a lower level of that chunk, every other one to an
+    earlier chunk.  Each chunk keeps its own positions, so the strips and
+    their worker deal are those of natural order.
+    """
+    it = np.arange(graph.n, dtype=np.int64)
+    levels = in_chunk_schedule(graph, chunk).levels
+    return np.lexsort((it, levels, it // chunk)).astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class ChunkLayout:
     """The speculative backend's execution layout for one chunk size.
@@ -197,9 +225,7 @@ def build_chunk_layout(
     ptr, index = loop.reads.ptr, loop.reads.index
     if graph is None:
         graph = DependenceGraph.from_loop(loop)
-    pairs = graph.pairs()
-    same = pairs[:, 0] // chunk == pairs[:, 1] // chunk
-    schedule = compute_levels(DependenceGraph(n, pairs[same]))
+    schedule = in_chunk_schedule(graph, chunk)
     exec_order, _counts, exec_ptr, term_source, slot_active, slot_ptr = (
         lay_out_terms(ptr, schedule)
     )

@@ -2,8 +2,8 @@
 real OS processes.
 
 The threaded backend proves the paper's protocol correct under the GIL;
-this backend removes the GIL from the picture.  A persistent pool of
-worker *processes* executes the three phases of the preprocessed doacross
+this backend removes the GIL from the picture.  A pool of worker
+*processes* executes the three phases of the preprocessed doacross
 (§2.2–2.3) against ``multiprocessing.shared_memory`` segments that play
 the paper's shared arrays directly:
 
@@ -12,16 +12,24 @@ the paper's shared arrays directly:
 - ``ynew``  — the renamed write targets (antidependence removal),
 - ``y``     — the live values, updated by the postprocessor.
 
-Iterations are strip-mined into contiguous *chunks* of ``chunk``
-positions (§2.3), dealt round-robin to workers; each worker executes its
-chunks in increasing order, so every cross-chunk true dependence points
-to a strictly earlier chunk and the busy-wait protocol is deadlock-free
-by the same induction as the cyclic threaded schedule (DESIGN.md §6).
+Execution positions are strip-mined into contiguous *chunks* of
+``chunk`` positions (§2.3), dealt round-robin to workers; each worker
+executes its chunks in increasing order, so every cross-chunk true
+dependence points to a strictly earlier chunk and the busy-wait protocol
+is deadlock-free by the same induction as the cyclic threaded schedule
+(DESIGN.md §6).  A natural-order run applies doconsider inside each
+strip: it executes :func:`~repro.backends.layout.in_chunk_order`, each
+chunk's iterations sorted by their level in the chunk's own part of the
+dependence DAG, so a chunk's early levels run while the previous chunk
+is still finishing instead of waiting on its tail.  A caller's (or the
+doconsider pass's) order runs exactly as given.
+
 Within a chunk the worker precomputes a per-term classification from the
 shared ``iter`` array (old-``y`` read / same-chunk ``ynew`` read /
 cross-chunk wait / intra-iteration accumulator) — the Figure-5 compare
-hoisted out of the inner loop and, for natural-order runs, cached across
-loop instances per dependence structure.
+hoisted out of the inner loop and, for natural-order runs, kept across
+loop instances per dependence structure.  The per-term body then reads
+Python lists and ``memoryview``\\ s rather than NumPy scalars.
 
 Every blocking cross-chunk wait is bounded by a
 :class:`~repro.backends.waitladder.WaitLadder` (spin, then escalating
@@ -29,6 +37,13 @@ sleep, then :class:`~repro.errors.WaitTimeout`), so a corrupted schedule
 diagnoses itself instead of hanging the pool; after a timeout the scratch
 arrays are marked dirty and fully re-reset before the next run, keeping
 the pool and its shared segments reusable.
+
+The pool outlives a call: there is one per worker count per process,
+shared by every runner with that count and holding its shared-memory
+sessions (one per loop structure).  Runs on one pool are serialized.  A
+pool closes itself :data:`IDLE_CLOSE_SECONDS` after its last run, and
+the next run starts it again; a run that finds a dead worker restarts
+it.
 
 Like the other real-concurrency backends the arithmetic is *exactly* the
 sequential oracle's: per iteration, terms accumulate in original order as
@@ -46,33 +61,48 @@ session's :class:`~repro.obs.spans.SpanRecorder`, lane = worker id,
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing as mp
 import os
-import queue as queue_mod
+import threading
 import time
-import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
+from multiprocessing import connection, shared_memory
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.backends.base import (
     Runner,
     note_ignored_options,
     validate_execution_order,
 )
-from repro.backends.cache import InspectorCache, loop_fingerprint
-from repro.backends.layout import chunk_term_codes
+from repro.backends.cache import InspectorCache, LoopStructure, loop_fingerprint
+from repro.backends.layout import in_chunk_order
 from repro.backends.waitladder import DEFAULT_LADDER, WaitLadder
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT
 from repro.errors import ReproError, WaitTimeout
+from repro.graph.depgraph import DependenceGraph
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_COMPUTE, CAT_PHASE, CAT_WAIT
 
 __all__ = ["MultiprocRunner"]
+
+#: Seconds a worker pool stays up after its last run before it closes
+#: itself (workers exit, shared segments are unlinked).  A restart costs
+#: about 12 ms, so this keeps restarts under ~1.2% of the idle gap.
+IDLE_CLOSE_SECONDS = 1.0
+
+#: How often a result collect checks that every worker is still alive.
+_POLL_SECONDS = 0.5
+
+_START_METHOD = (
+    "fork" if "fork" in mp.get_all_start_methods()
+    else mp.get_all_start_methods()[0]
+)
 
 # Shared-memory block layout: (field, dtype, which shape dimension).
 _BLOCKS = (
@@ -88,18 +118,30 @@ _BLOCKS = (
     ("ready", np.uint8, "y"),
 )
 
+#: Blocks the executor reads per term, with their ``memoryview`` format:
+#: indexing a memoryview yields a Python float or int directly, several
+#: times cheaper than materializing a NumPy scalar.
+_SCALAR_FORMATS = {"coeff": "d", "init": "d", "y": "d", "ynew": "d", "ready": "B"}
+
 
 def _block_len(dim: str, n: int, y_size: int, terms: int) -> int:
     return {"n": n, "n1": n + 1, "terms": terms, "y": y_size}[dim]
 
 
-def _chunk_ranges(n: int, chunk: int, workers: int, wid: int):
-    """Worker ``wid``'s chunks: contiguous ``chunk``-sized position ranges
-    dealt round-robin, visited in increasing order (deadlock freedom)."""
-    n_chunks = -(-n // chunk) if n else 0
-    for c in range(wid, n_chunks, workers):
+def _chunk_ranges(
+    n: int, chunk: int, workers: int, wid: int, start: int = 0,
+    stop: int | None = None,
+):
+    """Worker ``wid``'s chunks among positions ``[start, stop)`` (default:
+    all): contiguous ``chunk``-sized position ranges dealt round-robin by
+    global chunk number, visited in increasing order (deadlock freedom).
+    ``start`` must be chunk-aligned."""
+    stop = n if stop is None else stop
+    first = start // chunk
+    first += (wid - first) % workers
+    for c in range(first, -(-stop // chunk), workers):
         lo = c * chunk
-        yield lo, min(n, lo + chunk)
+        yield lo, min(stop, lo + chunk)
 
 
 # ----------------------------------------------------------------------
@@ -130,68 +172,71 @@ def _mute_shm_tracking() -> None:
 
 
 def _worker_attach(meta: dict) -> dict:
-    """Attach one session's shared blocks and build the numpy views."""
+    """Attach one session's shared blocks and build the numpy views and
+    the executor's scalar memoryviews."""
     n, y_size, terms = meta["n"], meta["y_size"], meta["terms"]
-    shms, views = [], {}
+    shms, views, scalars = [], {}, {}
     for field, dtype, dim in _BLOCKS:
         shm = shared_memory.SharedMemory(name=meta["names"][field])
         shms.append(shm)
         count = _block_len(dim, n, y_size, terms)
         views[field] = np.ndarray((count,), dtype=dtype, buffer=shm.buf)
+        if field in _SCALAR_FORMATS:
+            scalars[field] = shm.buf.cast(_SCALAR_FORMATS[field])
     return {
         "shms": shms,
         "views": views,
+        "scalars": scalars,
         "n": n,
-        "y_size": y_size,
         "counts": np.diff(views["ptr"]),
-        "codes": {},
+        # Chunk programs for the order named by ``plan_key`` (see
+        # _task_executor), by chunk start.
+        "plans": {},
+        "plan_key": None,
     }
 
 
-def _code_natural(sess: dict, lo: int, hi: int) -> np.ndarray:
-    """Per-term executor classification for natural-order chunk
-    ``[lo, hi)``: 0 = read old ``y`` (anti/unwritten), 1 = read ``ynew``
-    written earlier in this same chunk (no flag needed — this worker wrote
-    it), 2 = cross-chunk true dependence (ladder wait on ``ready``),
-    3 = intra-iteration (live accumulator).  Depends only on the loop's
-    structure, so callers cache it per (structure, chunking)."""
-    v = sess["views"]
-    return chunk_term_codes(v["ptr"], v["index"], v["iter"], lo, hi)
+def _chunk_plan(sess: dict, lo: int, hi: int, pos: np.ndarray) -> list:
+    """The executor's program for position chunk ``[lo, hi)`` of the
+    session's ``order``: one ``(i, w, terms)`` row per iteration in
+    execution order, ``w`` its write target and ``terms`` its reads as
+    ``(code, element, term)`` in original term order.
 
-
-def _code_ordered(
-    sess: dict, lo: int, hi: int, pos: np.ndarray
-) -> np.ndarray:
-    """Classification for position chunk ``[lo, hi)`` under a doconsider
-    order: the Figure-5 compare is still on iteration numbers, but "no
-    flag needed" now means the writer's *position* falls earlier in this
-    same chunk.  Terms appear in execution order (flat reads of
-    ``order[lo]``, then ``order[lo+1]``, ...)."""
+    ``code`` is the Figure-5 compare precomputed from ``iter``: 0 = read
+    old ``y`` (anti/unwritten), 1 = read ``ynew`` whose writer sits at an
+    earlier position of this same chunk (no flag needed — this worker
+    wrote it), 2 = cross-chunk true dependence (ladder wait on
+    ``ready``), 3 = intra-iteration (live accumulator).  ``pos`` is the
+    inverse of ``order``.  Depends only on the loop's structure and the
+    order."""
     v = sess["views"]
-    ptr, index, it = v["ptr"], v["index"], v["iter"]
+    ptr, index = v["ptr"], v["index"]
     its = v["order"][lo:hi]
     cnt = sess["counts"][its]
-    total = int(cnt.sum())
-    code = np.zeros(total, dtype=np.int8)
-    if not total:
-        return code
-    shift = np.zeros(len(cnt), dtype=np.int64)
-    shift[1:] = np.cumsum(cnt)[:-1]
-    offs = np.repeat(ptr[its] - shift, cnt) + np.arange(
+    bounds = np.zeros(len(cnt) + 1, dtype=np.int64)
+    np.cumsum(cnt, out=bounds[1:])
+    total = int(bounds[-1])
+    terms = np.repeat(ptr[its] - bounds[:-1], cnt) + np.arange(
         total, dtype=np.int64
     )
-    writers = it[index[offs]]
-    readers_iter = np.repeat(its, cnt)
-    readers_pos = np.repeat(np.arange(lo, hi, dtype=np.int64), cnt)
-    code[writers == readers_iter] = 3
-    true_dep = writers < readers_iter
-    td = np.nonzero(true_dep)[0]
+    elems = index[terms]
+    writers = v["iter"][elems]
+    readers = np.repeat(its, cnt)
+    code = np.zeros(total, dtype=np.int8)
+    code[writers == readers] = 3
+    td = np.nonzero(writers < readers)[0]
     if len(td):
         wpos = pos[writers[td]]
-        in_chunk = (wpos >= lo) & (wpos < readers_pos[td])
+        rpos = np.repeat(np.arange(lo, hi, dtype=np.int64), cnt)[td]
+        in_chunk = (wpos >= lo) & (wpos < rpos)
         code[td[in_chunk]] = 1
         code[td[~in_chunk]] = 2
-    return code
+    flat = list(zip(code.tolist(), elems.tolist(), terms.tolist()))
+    b = bounds.tolist()
+    return [
+        (i, w, flat[b[j] : b[j + 1]])
+        for j, (i, w) in enumerate(zip(its.tolist(), v["write"][its].tolist()))
+    ]
 
 
 def _task_inspector(sess: dict, opts: dict, wid: int) -> dict:
@@ -227,29 +272,45 @@ def _task_inspector(sess: dict, opts: dict, wid: int) -> dict:
 
 
 def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
-    """Phase 2: the Figure-5 executor over this worker's chunks, with the
-    per-term compare precomputed into a classification code and every
-    blocking wait bounded by the ladder."""
-    v = sess["views"]
-    write, ptr, index = v["write"], v["ptr"], v["index"]
-    coeff, init = v["coeff"], v["init"]
-    y, ynew, ready = v["y"], v["ynew"], v["ready"]
+    """Phase 2: the Figure-5 executor over this worker's chunks of the
+    session's ``order``, per term and per element, every blocking wait
+    bounded by the ladder.
+
+    With ``opts["round"]`` set this is one *group round* of the
+    group-synchronous executor over positions ``opts["glo"]:opts["ghi"]``:
+    the DistancePass proved every cross-iteration true dependence reaches
+    into a strictly earlier group (a chunk-aligned floor of the proven
+    ``min_distance``), and the coordinator collects every worker between
+    rounds, so a cross-chunk read (code 2) is a direct ``ynew`` read with
+    **no flag check** and no flag is ever set.  The coordinator's collect
+    *is* the barrier; the shadow log records it as one ``("g", round)``
+    barrier generation per worker.
+
+    ``opts["order_key"]`` names a structure-only order (natural runs'
+    in-chunk order); chunk programs for it are kept across runs.  ``None``
+    (a caller's order) classifies afresh.
+    """
+    sc = sess["scalars"]
+    coeff, init, y = sc["coeff"], sc["init"], sc["y"]
+    ynew, ready = sc["ynew"], sc["ready"]
     n = sess["n"]
     chunk, workers = opts["chunk"], opts["workers"]
-    has_order, external = opts["has_order"], opts["external"]
-    observe, ladder = opts["observe"], opts["ladder"]
-    sanitize = opts.get("sanitize", False)
-    events: list | None = [] if sanitize else None
+    external, observe, ladder = opts["external"], opts["observe"], opts["ladder"]
+    group_round = opts.get("round")
+    flags = group_round is None
+    events: list | None = [] if opts["sanitize"] else None
     timed_out: WaitTimeout | None = None
     pid = os.getpid()
 
-    if has_order:
-        order = v["order"]
-        pos = np.empty(n, dtype=np.int64)
-        pos[order[:n]] = np.arange(n, dtype=np.int64)
+    key = opts["order_key"]
+    plans = sess["plans"]
+    if key is None or sess["plan_key"] != key:
+        plans.clear()
+        sess["plan_key"] = key
+    pos = None
 
     flag_checks = flag_sets = busy_waits = iterations = 0
-    wait_escalations = 0
+    wait_escalations = elided = classified = 0
     wait_seconds = 0.0
     spans: list = []
     if observe:
@@ -257,89 +318,92 @@ def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
         seg_start = t_phase
 
     try:
-        for lo, hi in _chunk_ranges(n, chunk, workers, wid):
-            if has_order:
-                code = _code_ordered(sess, lo, hi, pos)
-            else:
-                key = (chunk, workers, lo)
-                code = sess["codes"].get(key)
-                if code is None:
-                    code = sess["codes"][key] = _code_natural(sess, lo, hi)
-            cur = 0
-            for p in range(lo, hi):
-                i = int(order[p]) if has_order else p
-                w = write[i]
+        for lo, hi in _chunk_ranges(
+            n, chunk, workers, wid, opts.get("glo", 0), opts.get("ghi")
+        ):
+            rows = plans.get(lo)
+            if rows is None:
+                if pos is None:
+                    pos = np.empty(n, dtype=np.int64)
+                    pos[sess["views"]["order"]] = np.arange(n, dtype=np.int64)
+                rows = _chunk_plan(sess, lo, hi, pos)
+                classified += 1
+                if key is not None:
+                    plans[lo] = rows
+            for i, w, terms in rows:
                 acc = init[i] if external else y[w]
-                for k in range(ptr[i], ptr[i + 1]):
-                    c = code[cur]
-                    cur += 1
-                    idx = index[k]
+                for c, e, k in terms:
                     if c == 0:
                         if events is not None:
-                            events.append(("r", i, int(idx), 0))
-                        value = y[idx]
+                            events.append(("r", i, e, 0))
+                        value = y[e]
                     elif c == 3:
                         value = acc
                     elif c == 1:
                         # Same-chunk renamed read: this worker wrote it
                         # earlier, so program order is the hb edge.
                         if events is not None:
-                            events.append(("r", i, int(idx), 1))
-                        value = ynew[idx]
+                            events.append(("r", i, e, 1))
+                        value = ynew[e]
                     else:
-                        flag_checks += 1
-                        if events is not None:
-                            # Log the acquire *before* blocking: the
-                            # per-chunk order is unchanged on success,
-                            # and a timed-out ladder leaves the
-                            # unsatisfied acquire in the shadow log for
-                            # the sanitizer to name.
-                            events.append(("a", int(idx)))
-                        if ready[idx]:
-                            value = ynew[idx]
+                        if not flags:
+                            # An earlier group wrote it: the elided wait.
+                            elided += 1
                         else:
-                            busy_waits += 1
-                            element = int(idx)
-                            if observe:
-                                # Blocking wait: close the running compute
-                                # span, record the wait (threaded-backend
-                                # tiling invariant, same span vocabulary).
-                                w0 = time.perf_counter()
-                                spans.append(
-                                    ("compute", CAT_COMPUTE, seg_start, w0,
-                                     {"pid": pid})
-                                )
-                                slept = ladder.wait(
-                                    lambda: ready[idx], element=element
-                                )
-                                w1 = time.perf_counter()
-                                spans.append(
-                                    ("wait", CAT_WAIT, w0, w1,
-                                     {"pid": pid, "element": element})
-                                )
-                                wait_seconds += w1 - w0
-                                seg_start = w1
-                            else:
-                                slept = ladder.wait(
-                                    lambda: ready[idx], element=element
-                                )
-                                wait_seconds += slept
-                            if slept > 0:
-                                # Past the spin rung: this stall was long
-                                # enough to sleep on (the doctor's
-                                # wait-escalation evidence).
-                                wait_escalations += 1
-                            value = ynew[idx]
+                            flag_checks += 1
+                            if events is not None:
+                                # Log the acquire *before* blocking: the
+                                # per-chunk order is unchanged on success,
+                                # and a timed-out ladder leaves the
+                                # unsatisfied acquire in the shadow log
+                                # for the sanitizer to name.
+                                events.append(("a", e))
+                            if not ready[e]:
+                                busy_waits += 1
+                                if observe:
+                                    # Blocking wait: close the running
+                                    # compute span, record the wait
+                                    # (threaded-backend tiling invariant,
+                                    # same span vocabulary).
+                                    w0 = time.perf_counter()
+                                    spans.append(
+                                        ("compute", CAT_COMPUTE, seg_start,
+                                         w0, {"pid": pid})
+                                    )
+                                    slept = ladder.wait(
+                                        lambda: ready[e], element=e
+                                    )
+                                    w1 = time.perf_counter()
+                                    spans.append(
+                                        ("wait", CAT_WAIT, w0, w1,
+                                         {"pid": pid, "element": e})
+                                    )
+                                    wait_seconds += w1 - w0
+                                    seg_start = w1
+                                else:
+                                    slept = ladder.wait(
+                                        lambda: ready[e], element=e
+                                    )
+                                    wait_seconds += slept
+                                if slept > 0:
+                                    # Past the spin rung: this stall was
+                                    # long enough to sleep on (the
+                                    # doctor's wait-escalation evidence).
+                                    wait_escalations += 1
                         if events is not None:
-                            events.append(("r", i, int(idx), 1))
+                            events.append(("r", i, e, 1))
+                        value = ynew[e]
                     acc += coeff[k] * value
                 ynew[w] = acc
-                ready[w] = 1
-                if events is not None:
-                    events.append(("w", i, int(w)))
-                    events.append(("p", int(w)))
-                flag_sets += 1
-            iterations += hi - lo
+                if flags:
+                    ready[w] = 1
+                    if events is not None:
+                        events.append(("w", i, w))
+                        events.append(("p", w))
+                elif events is not None:
+                    # Elided post: ready[w] is never written in group mode.
+                    events.append(("w", i, w))
+            iterations += len(rows)
     except WaitTimeout as exc:
         if events is None:
             raise
@@ -348,123 +412,42 @@ def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
         # and the log usually explains the hang better than the timeout.
         timed_out = exc
 
-    payload: dict = {
-        "wid": wid,
-        "metrics": {
-            "flag_checks": flag_checks,
-            "flag_sets": flag_sets,
-            "busy_waits": busy_waits,
-            "wait_escalations": wait_escalations,
-            "wait_seconds": wait_seconds,
-            "iterations": iterations,
-        },
+    metrics: dict = {
+        "flag_checks": flag_checks,
+        "busy_waits": busy_waits,
+        "wait_seconds": wait_seconds,
+        "iterations": iterations,
+        "chunks_classified": classified,
     }
+    if flags:
+        metrics["flag_sets"] = iterations
+        metrics["wait_escalations"] = wait_escalations
+    else:
+        metrics["flag_sets"] = 0
+        metrics["sync_elisions"] = iterations + elided
+    payload: dict = {"wid": wid, "metrics": metrics}
     if observe:
         t_end = time.perf_counter()
-        spans.append(("compute", CAT_COMPUTE, seg_start, t_end, {"pid": pid}))
-        spans.append(("executor", CAT_PHASE, t_phase, t_end, {"pid": pid}))
+        if flags:
+            spans.append(
+                ("compute", CAT_COMPUTE, seg_start, t_end, {"pid": pid})
+            )
+            spans.append(("executor", CAT_PHASE, t_phase, t_end, {"pid": pid}))
+        else:
+            spans.append(
+                ("executor", CAT_PHASE, t_phase, t_end,
+                 {"pid": pid, "group_round": group_round})
+            )
         payload["spans"] = spans
     if events is not None:
+        if not flags:
+            # Every worker logs the round barrier, share or no share —
+            # the sanitizer's replay releases a generation only when
+            # *all* lanes arrive.
+            events.append(("b", ("g", group_round)))
         payload["sanitize"] = {"pid": pid, "events": events}
         if timed_out is not None:
             payload["wait_timeout"] = timed_out
-    return payload
-
-
-def _task_gexec(sess: dict, opts: dict, wid: int) -> dict:
-    """One *group round* of the group-synchronous executor.
-
-    ``opts["glo"]:opts["ghi"]`` is one distance group: the DistancePass
-    proved every cross-iteration true dependence reaches into a strictly
-    earlier group (the group size is a chunk-aligned floor of the proven
-    ``min_distance``), and the coordinator collects every worker between
-    rounds, so all renamed reads here are already written — the per-term
-    classification codes are reused, but code 2 (cross-chunk true
-    dependence) becomes a direct ``ynew`` read with **no flag check** and
-    no flag is ever set.  The coordinator's collect *is* the barrier;
-    the shadow log records it as one ``("g", round)`` barrier generation
-    per worker so the sanitizer can witness the same ordering.
-    """
-    v = sess["views"]
-    write, ptr, index = v["write"], v["ptr"], v["index"]
-    coeff, init = v["coeff"], v["init"]
-    y, ynew = v["y"], v["ynew"]
-    glo, ghi = opts["glo"], opts["ghi"]
-    chunk, workers = opts["chunk"], opts["workers"]
-    external, observe = opts["external"], opts["observe"]
-    events: list | None = [] if opts.get("sanitize") else None
-    pid = os.getpid()
-    if observe:
-        t0 = time.perf_counter()
-
-    elided_waits = iterations = 0
-    # The group is chunk-aligned, so the global chunk -> worker deal
-    # (chunk c belongs to worker c % workers) restricts cleanly.
-    for c in range(glo // chunk, -(-ghi // chunk)):
-        if c % workers != wid:
-            continue
-        lo = c * chunk
-        hi = min(ghi, lo + chunk)
-        key = (chunk, workers, lo)
-        code = sess["codes"].get(key)
-        if code is None:
-            code = sess["codes"][key] = _code_natural(sess, lo, hi)
-        cur = 0
-        for i in range(lo, hi):
-            w = write[i]
-            acc = init[i] if external else y[w]
-            for k in range(ptr[i], ptr[i + 1]):
-                cd = code[cur]
-                cur += 1
-                idx = index[k]
-                if cd == 0:
-                    if events is not None:
-                        events.append(("r", i, int(idx), 0))
-                    value = y[idx]
-                elif cd == 3:
-                    value = acc
-                else:
-                    # Renamed read: same-chunk program order (code 1) or
-                    # a strictly earlier group (code 2, the elided wait).
-                    if cd == 2:
-                        elided_waits += 1
-                    if events is not None:
-                        events.append(("r", i, int(idx), 1))
-                    value = ynew[idx]
-                acc += coeff[k] * value
-            ynew[w] = acc
-            # Elided post: ready[w] is never written in group mode.
-            if events is not None:
-                events.append(("w", i, int(w)))
-        iterations += hi - lo
-
-    payload: dict = {
-        "wid": wid,
-        "metrics": {
-            "flag_checks": 0,
-            "flag_sets": 0,
-            "busy_waits": 0,
-            "wait_seconds": 0.0,
-            "iterations": iterations,
-            "sync_elisions": iterations + elided_waits,
-        },
-    }
-    if observe:
-        payload["spans"] = [
-            (
-                "executor",
-                CAT_PHASE,
-                t0,
-                time.perf_counter(),
-                {"pid": pid, "group_round": opts["round"]},
-            )
-        ]
-    if events is not None:
-        # Every worker logs the round barrier, share or no share — the
-        # sanitizer's replay releases a generation only when *all* lanes
-        # arrive.
-        events.append(("b", ("g", opts["round"])))
-        payload["sanitize"] = {"pid": pid, "events": events}
     return payload
 
 
@@ -501,51 +484,57 @@ def _task_post(sess: dict, opts: dict, wid: int) -> dict:
 _TASKS = {
     "inspector": _task_inspector,
     "executor": _task_executor,
-    "gexec": _task_gexec,
     "post": _task_post,
 }
 
 
 def _worker_detach(sess: dict) -> None:
-    """Release one attached session: numpy views first (they export the
-    mmap's buffer; closing underneath them raises ``BufferError``)."""
+    """Release one attached session: memoryviews and numpy views first
+    (they export the mmap's buffer; closing underneath them raises
+    ``BufferError``)."""
+    for view in sess["scalars"].values():
+        view.release()
+    sess["scalars"].clear()
     sess["views"].clear()
-    sess["codes"].clear()
+    sess["plans"].clear()
     sess["counts"] = None
     for shm in sess["shms"]:
         shm.close()
 
 
-def _worker_main(wid: int, task_q, result_q) -> None:
+def _worker_main(wid: int, conn) -> None:
     """Worker process loop: attach sessions, run phase tasks, reply once
-    per task.  Exceptions (including :class:`WaitTimeout`) are shipped
-    back as replies — the worker survives them and keeps serving."""
+    per task over ``conn``.  Exceptions (including :class:`WaitTimeout`)
+    are shipped back as replies — the worker survives them and keeps
+    serving."""
     _mute_shm_tracking()
     sessions: dict[str, dict] = {}
     while True:
-        msg = task_q.get()
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):  # the main process went away
+            msg = ("exit",)
         kind = msg[0]
         if kind == "exit":
             for sess in sessions.values():
                 _worker_detach(sess)
             return
         try:
+            payload = None
             if kind == "attach":
                 _, key, meta = msg
                 sessions[key] = _worker_attach(meta)
-                result_q.put(("ok", wid, None))
             elif kind == "forget":
                 _, key = msg
                 sess = sessions.pop(key, None)
                 if sess is not None:
                     _worker_detach(sess)
-                result_q.put(("ok", wid, None))
             else:
                 _, key, opts = msg
                 payload = _TASKS[kind](sessions[key], opts, wid)
-                result_q.put(("ok", wid, payload))
+            conn.send(("ok", payload))
         except BaseException as exc:
-            result_q.put(("err", wid, exc))
+            conn.send(("err", exc))
 
 
 # ----------------------------------------------------------------------
@@ -563,6 +552,9 @@ class _Session:
         self.y_size = loop.y_size
         self.terms = int(loop.reads.total_terms)
         self.dirty = False
+        #: Which structure-only order the ``order`` block holds
+        #: (``("in-chunk", chunk)``), or ``None`` for a caller's order.
+        self.order_key: tuple | None = None
         self.shms: dict[str, shared_memory.SharedMemory] = {}
         self.views: dict[str, np.ndarray] = {}
         for field, dtype, dim in _BLOCKS:
@@ -601,40 +593,266 @@ class _Session:
         self.shms.clear()
 
 
-def _shutdown_pool(procs, task_qs, sessions) -> None:
-    """Finalizer: stop workers, then release every shared segment."""
-    for q in task_qs:
-        try:
-            q.put(("exit",))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
-    for p in procs:
-        p.join(timeout=2.0)
-        if p.is_alive():  # pragma: no cover - wedged worker
-            p.terminate()
+class _Pool:
+    """One worker count's process pool and its shared-memory sessions.
+
+    Lives in the module registry (:func:`_pool_for`) for the life of the
+    process and is shared by every runner with that worker count.  Every
+    use holds :attr:`lock`.  Each worker talks to the main process over
+    its own pipe: no queue feeder threads.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.lock = threading.Lock()
+        self.procs: list = []
+        self.conns: list = []
+        self.sessions: "OrderedDict[str, _Session]" = OrderedDict()
+        self.last_run = 0.0
+
+    @property
+    def started(self) -> bool:
+        return bool(self.procs)
+
+    def healthy(self) -> bool:
+        return bool(self.procs) and all(p.is_alive() for p in self.procs)
+
+    def start(self) -> None:
+        ctx = mp.get_context(_START_METHOD)
+        with _IDLE.paused():
+            for wid in range(self.workers):
+                ours, theirs = ctx.Pipe()
+                p = ctx.Process(
+                    target=_worker_main,
+                    args=(wid, theirs),
+                    name=f"repro-multiproc-{wid}",
+                    daemon=True,
+                )
+                p.start()
+                # Only the worker holds its end now: its death reads as
+                # EOF here.
+                theirs.close()
+                self.conns.append(ours)
+                self.procs.append(p)
+
+    def shutdown(self) -> None:
+        """Release every shared segment, then stop the workers.  The
+        next :meth:`start` begins afresh.
+
+        Unlinking first (the workers' mappings outlive the names) means a
+        worker that has exited proves the segments are gone too: a caller
+        that waits for the children, then stops the resource tracker,
+        finds nothing left to clean up."""
+        for sess in self.sessions.values():
+            sess.destroy()
+        self.sessions.clear()
+        for conn in self.conns:
+            try:
+                conn.send(("exit",))
+            except OSError:  # a dead worker's pipe
+                pass
+        for p in self.procs:
             p.join(timeout=2.0)
-    for sess in list(sessions.values()):
-        sess.destroy()
-    sessions.clear()
+            if p.is_alive():  # pragma: no cover - wedged worker
+                p.terminate()
+                p.join(timeout=2.0)
+        for conn in self.conns:
+            conn.close()
+        self.procs, self.conns = [], []
+
+    def broadcast(self, msg: tuple) -> None:
+        try:
+            for conn in self.conns:
+                conn.send(msg)
+        except OSError:  # a worker died mid-run: its pipe is broken
+            self.shutdown()
+            raise ReproError(
+                f"multiproc worker died before the {msg[0]} task; pool "
+                f"shut down"
+            ) from None
+
+    def collect(self, phase: str, timeout: float) -> list:
+        """One reply per worker.  A worker error is re-raised once every
+        reply is in; a dead or silent pool is shut down and reported."""
+        payloads: list = [None] * self.workers
+        first_err: BaseException | None = None
+        pending = dict(zip(self.conns, range(self.workers)))
+        deadline = time.monotonic() + timeout
+        while pending:
+            ready = connection.wait(list(pending), timeout=_POLL_SECONDS)
+            if not ready and (
+                time.monotonic() > deadline or not self.healthy()
+            ):
+                self.shutdown()
+                raise ReproError(
+                    f"multiproc worker pool unresponsive during {phase} "
+                    f"phase; pool shut down"
+                )
+            for conn in ready:
+                wid = pending.pop(conn)
+                try:
+                    kind, payload = conn.recv()
+                except (EOFError, OSError):
+                    self.shutdown()
+                    raise ReproError(
+                        f"multiproc worker {wid} died during {phase} "
+                        f"phase; pool shut down"
+                    ) from None
+                if kind == "err":
+                    if first_err is None:
+                        first_err = payload
+                else:
+                    payloads[wid] = payload
+        if first_err is not None:
+            raise first_err
+        return payloads
+
+    def session(
+        self, loop: IrregularLoop, key: str, max_sessions: int, timeout: float
+    ) -> _Session:
+        sess = self.sessions.get(key)
+        if sess is not None:
+            self.sessions.move_to_end(key)
+            return sess
+        while len(self.sessions) >= max_sessions:
+            _, old = self.sessions.popitem(last=False)
+            try:
+                self.broadcast(("forget", old.key))
+                self.collect("forget", timeout)
+            finally:
+                old.destroy()
+        sess = _Session(key, loop)
+        try:
+            self.broadcast(("attach", key, sess.meta()))
+            self.collect("attach", timeout)
+        except BaseException:
+            sess.destroy()
+            raise
+        self.sessions[key] = sess
+        return sess
+
+
+class _IdleCloser:
+    """The one timer thread that closes pools idle for
+    :data:`IDLE_CLOSE_SECONDS`.
+
+    Never alive while a pool forks (Python 3.12 warns on fork with
+    threads): :meth:`paused` stops it first, and it is re-armed by the
+    run that forked.  It only ever *tries* a pool's lock, so it can
+    neither close a pool under a run nor deadlock with one; a busy pool
+    re-arms it when its run ends.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.timer: threading.Timer | None = None
+        self.paused_count = 0
+
+    def arm(self, delay: float) -> None:
+        with self.lock:
+            if self.timer is not None or self.paused_count:
+                return
+            self.timer = threading.Timer(delay, self._fire)
+            self.timer.daemon = True
+            self.timer.start()
+
+    def _fire(self) -> None:
+        with self.lock:
+            if self.timer is threading.current_thread():
+                self.timer = None
+        soonest = None
+        now = time.monotonic()
+        for pool in list(_POOLS.values()):
+            if not pool.lock.acquire(blocking=False):
+                continue
+            try:
+                if pool.started:
+                    left = pool.last_run + IDLE_CLOSE_SECONDS - now
+                    if left <= 0:
+                        pool.shutdown()
+                    else:
+                        soonest = left if soonest is None else min(soonest, left)
+            finally:
+                pool.lock.release()
+        if soonest is not None:
+            self.arm(soonest)
+
+    @contextmanager
+    def paused(self):
+        with self.lock:
+            self.paused_count += 1
+            timer, self.timer = self.timer, None
+        try:
+            if timer is not None:
+                timer.cancel()
+                timer.join()
+            yield
+        finally:
+            with self.lock:
+                self.paused_count -= 1
+
+
+_POOLS: dict[int, _Pool] = {}
+_REGISTRY_LOCK = threading.Lock()
+_IDLE = _IdleCloser()
+#: Registries inherited by forked children, kept referenced: a child
+#: must neither use nor finalize its parent's pools and segments.
+_INHERITED: list = []
+
+
+def _pool_for(workers: int) -> _Pool:
+    with _REGISTRY_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = _Pool(workers)
+        return pool
+
+
+def _forget_pools() -> None:
+    """After ``fork``, in the child: start with no pools of its own."""
+    global _POOLS, _REGISTRY_LOCK, _IDLE
+    _INHERITED.append(_POOLS)
+    _POOLS = {}
+    _REGISTRY_LOCK = threading.Lock()
+    _IDLE = _IdleCloser()
+
+
+def _close_all() -> None:
+    """At interpreter exit: stop every pool and unlink its segments."""
+    for pool in list(_POOLS.values()):
+        locked = pool.lock.acquire(timeout=5.0)
+        try:
+            pool.shutdown()
+        finally:
+            if locked:
+                pool.lock.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+atexit.register(_close_all)
 
 
 class MultiprocRunner(Runner):
-    """Runs the preprocessed doacross on a persistent process pool over
-    shared memory (see the module docstring for the protocol).
+    """Runs the preprocessed doacross on the process-wide worker pool
+    over shared memory (see the module docstring for the protocol).
 
     Parameters
     ----------
     workers:
-        Pool size; also the reported processor count.
+        Pool size; also the reported processor count.  Runners with the
+        same count share one pool.
     chunk:
         Default strip-mine chunk size (§2.3); ``None`` picks
         ``ceil(n / (4 * workers))`` per run, and the per-run ``chunk``
         option overrides both.
     cache:
-        Optional :class:`~repro.backends.cache.InspectorCache`; on a hit
-        the cached ``iter`` array is copied straight into shared memory
-        and the workers' inspector phase is skipped (Figure-3
-        amortization across loop instances).
+        Optional :class:`~repro.backends.cache.InspectorCache`.  It
+        serves the in-chunk order of natural-order runs (and the
+        structure that validates a caller's order), and with it ``iter``
+        is prefilled in closed form, skipping the workers' inspector
+        phase.  ``result.extras["cache_hit"]`` reports the order entry's
+        lookup (the structure entry's, for a caller's order).
     analyze:
         ``"symbolic"``: when the symbolic engine proves the write
         subscript injective, ``iter`` is prefilled in closed form and the
@@ -645,11 +863,11 @@ class MultiprocRunner(Runner):
         The :class:`~repro.backends.waitladder.WaitLadder` bounding every
         cross-chunk busy-wait.
     max_sessions:
-        Shared-memory arenas kept alive (LRU per loop structure).
+        Shared-memory arenas kept alive in the pool (LRU per loop
+        structure), enforced on this runner's runs.
 
-    The pool and its shared segments are released by :meth:`close` (also
-    hooked to garbage collection), after which the runner may be used
-    again — a fresh pool starts on demand.
+    :meth:`close` closes the shared pool now and unlinks its segments;
+    the next run on any runner starts it again.
     """
 
     name = "multiproc"
@@ -685,92 +903,15 @@ class MultiprocRunner(Runner):
         self.analyze = analyze
         self.ladder = ladder if ladder is not None else DEFAULT_LADDER
         self.max_sessions = max_sessions
-        methods = mp.get_all_start_methods()
-        self.start_method = "fork" if "fork" in methods else methods[0]
-        self._procs: list = []
-        self._task_qs: list = []
-        self._result_q = None
-        self._sessions: "OrderedDict[str, _Session]" = OrderedDict()
-        self._finalizer = None
-
-    # -- pool lifecycle ------------------------------------------------
-    @property
-    def started(self) -> bool:
-        return bool(self._procs)
-
-    def _ensure_pool(self) -> None:
-        if self._procs:
-            return
-        ctx = mp.get_context(self.start_method)
-        self._result_q = ctx.Queue()
-        for wid in range(self.workers):
-            q = ctx.Queue()
-            p = ctx.Process(
-                target=_worker_main,
-                args=(wid, q, self._result_q),
-                name=f"repro-multiproc-{wid}",
-                daemon=True,
-            )
-            p.start()
-            self._task_qs.append(q)
-            self._procs.append(p)
-        self._finalizer = weakref.finalize(
-            self, _shutdown_pool, self._procs, self._task_qs, self._sessions
-        )
+        self.start_method = _START_METHOD
 
     def close(self) -> None:
-        """Stop the worker pool and unlink every shared segment.  Safe to
-        call repeatedly; the next :meth:`run` starts a fresh pool."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._procs = []
-        self._task_qs = []
-        self._result_q = None
-        self._sessions = OrderedDict()
-
-    def _broadcast(self, msg: tuple) -> None:
-        for q in self._task_qs:
-            q.put(msg)
-
-    def _collect(self, phase: str) -> list:
-        payloads: list = [None] * self.workers
-        first_err: BaseException | None = None
-        timeout = self.ladder.timeout + 60.0
-        for _ in range(self.workers):
-            try:
-                kind, wid, payload = self._result_q.get(timeout=timeout)
-            except queue_mod.Empty:  # pragma: no cover - dead worker
-                self.close()
-                raise ReproError(
-                    f"multiproc worker pool unresponsive during {phase} "
-                    f"phase; pool shut down"
-                ) from None
-            if kind == "err":
-                if first_err is None:
-                    first_err = payload
-            else:
-                payloads[wid] = payload
-        if first_err is not None:
-            raise first_err
-        return payloads
-
-    # -- sessions ------------------------------------------------------
-    def _session_for(self, loop: IrregularLoop, key: str) -> _Session:
-        sess = self._sessions.get(key)
-        if sess is not None:
-            self._sessions.move_to_end(key)
-            return sess
-        while len(self._sessions) >= self.max_sessions:
-            _, old = self._sessions.popitem(last=False)
-            self._broadcast(("forget", old.key))
-            self._collect("forget")
-            old.destroy()
-        sess = _Session(key, loop)
-        self._broadcast(("attach", key, sess.meta()))
-        self._collect("attach")
-        self._sessions[key] = sess
-        return sess
+        """Stop this worker count's pool and unlink its shared segments.
+        Safe to call repeatedly; the next :meth:`run` starts it again."""
+        pool = _POOLS.get(self.workers)
+        if pool is not None:
+            with pool.lock:
+                pool.shutdown()
 
     # -- the run -------------------------------------------------------
     def run(
@@ -782,26 +923,36 @@ class MultiprocRunner(Runner):
         chunk: int | None = None,
         trace: bool = False,
         fingerprint: str | None = None,
+        structure: LoopStructure | None = None,
     ) -> RunResult:
         """Execute ``loop`` on the process pool; see the module docstring.
 
-        ``chunk`` sets the strip-mine chunk size.  ``schedule`` is ignored
-        (iteration assignment is always chunked round-robin — the
-        deadlock-freedom precondition); ``trace`` is ignored (no simulated
-        timeline; use ``observe=True`` for wall-clock spans).  Both are
-        recorded in ``result.extras["ignored_options"]`` when passed.
+        ``chunk`` sets the strip-mine chunk size.  ``order`` is run
+        exactly as given (after validation); without it the run executes
+        the in-chunk order.  ``schedule`` is ignored (iteration
+        assignment is always chunked round-robin — the deadlock-freedom
+        precondition); ``trace`` is ignored (no simulated timeline; use
+        ``observe=True`` for wall-clock spans).  Both are recorded in
+        ``result.extras["ignored_options"]`` when passed.
         ``fingerprint`` is the loop's digest when the caller already has
-        it; it keys both the inspector cache and the shared-memory session.
+        it; it keys both the inspector cache and the shared-memory
+        session.  ``structure`` is the loop's analysis when the caller
+        holds one and the runner has no cache (plan execution hands its
+        own down), so the run does not analyze the loop again.
         """
         if fingerprint is None:
             fingerprint = loop_fingerprint(loop)
+        graph = structure.graph if structure is not None else None
+        hit = False
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
-            if self.cache is None:
+            if self.cache is not None:
+                cached, hit = self.cache.structure(loop, fingerprint)
+                graph = cached.graph
+            if graph is None:
                 validate_execution_order(loop, order)
             else:
-                structure, _hit = self.cache.structure(loop, fingerprint)
-                validate_execution_order(loop, order, structure.graph)
+                validate_execution_order(loop, order, graph)
 
         t0 = time.perf_counter()
         verdict = None
@@ -815,168 +966,69 @@ class MultiprocRunner(Runner):
                 from repro.analysis import cross_check
 
                 cross_check(loop, verdict, strict=True)
-        record, hit = None, False
-        if self.cache is not None:
-            record, hit = self.cache.get_or_build(loop, fingerprint=fingerprint)
-
-        self._ensure_pool()
-        sess = self._session_for(loop, fingerprint)
-        rec = self._obs_recorder
-        met = self._obs_metrics
-        observe = rec is not None
 
         n = loop.n
         c_size = chunk if chunk is not None else self.chunk
         if c_size is None:
             c_size = max(1, -(-n // (4 * self.workers)))
         c_size = int(c_size)
+        # Natural order runs doconsider inside each strip.
+        order_key = ("in-chunk", c_size) if order is None else None
+        if order_key is not None and self.cache is not None:
+            order, hit = self.cache.chunk_order(loop, c_size, fingerprint)
 
-        if sess.dirty:
-            # A previous run died mid-protocol (WaitTimeout): the normal
-            # postprocess reset never ran, so scrub the scratch wholesale.
-            sess.views["iter"][:] = MAXINT
-            sess.views["ready"][:] = 0
-        sess.dirty = True
-
-        # Per-run values into shared memory (structure is already there).
-        sess.views["y"][:] = loop.y0
-        if sess.terms:
-            sess.views["coeff"][:] = loop.reads.coeff
-        external = loop.init_kind == INIT_EXTERNAL
-        if external:
-            sess.views["init"][:] = loop.init_values
-        if order is not None:
-            sess.views["order"][:] = order
-
-        san = self._san_capture
-        opts = {
-            "chunk": c_size,
-            "workers": self.workers,
-            "has_order": order is not None,
-            "external": external,
-            "observe": observe,
-            "ladder": self.ladder,
-            "sanitize": san is not None,
-        }
-
-        # Phase 1: inspector — prefilled from the cache or the symbolic
-        # proof (both yield the canonical iter contents), else parallel.
-        prefilled = record is not None or elide
-        if prefilled:
-            t_ins = time.perf_counter()
-            if record is not None:
-                sess.views["iter"][:] = record.iter_array
-            else:
-                sess.views["iter"][loop.write] = np.arange(
-                    n, dtype=np.int64
+        pool = _pool_for(self.workers)
+        with pool.lock:
+            try:
+                if not pool.healthy():
+                    if pool.started:  # a worker died since the last run
+                        pool.shutdown()
+                    pool.start()
+                result = self._run_on(
+                    pool, loop, fingerprint, order, order_key, graph,
+                    c_size, elide, hit,
                 )
-            if rec is not None:
-                rec.record(
-                    "inspector", CAT_PHASE, t_ins, rec.now(), lane=0,
-                    cache_hit=bool(hit), elided=elide,
-                )
-        else:
-            self._broadcast(("inspector", sess.key, opts))
-            self._apply(self._collect("inspector"), rec, met)
-
-        # Group-synchronous elision (DistancePass): natural order only,
-        # and the group must be a chunk-aligned multiple so the global
-        # chunk -> worker deal restricts cleanly to each group window.
-        group = self._group_sync if order is None else None
-        if group is not None and (group < c_size or group % c_size):
-            group = None
-
-        if group is not None:
-            # Phase 2 (group mode): one round per distance group; the
-            # collect between rounds is the group barrier.  No flags.
-            n_groups = -(-n // group) if n else 0
-            for gk in range(n_groups):
-                gopts = dict(
-                    opts,
-                    glo=gk * group,
-                    ghi=min(n, (gk + 1) * group),
-                    round=gk,
-                )
-                self._broadcast(("gexec", sess.key, gopts))
-                payloads = self._collect("gexec")
-                self._apply(payloads, rec, met)
-                if san is not None:
-                    for payload in payloads:
-                        if payload is None:
-                            continue
-                        blob = payload.get("sanitize")
-                        if blob is not None:
-                            san.ingest(
-                                payload["wid"], blob["events"],
-                                pid=blob["pid"],
-                            )
-            if met is not None:
-                met.count("group_barriers", n_groups)
-        else:
-            # Phase 2: executor.  On WaitTimeout the session stays dirty
-            # and is scrubbed on the next run; the pool itself survives.
-            self._broadcast(("executor", sess.key, opts))
-            payloads = self._collect("executor")
-            self._apply(payloads, rec, met)
-            if san is not None:
-                timeout_exc: WaitTimeout | None = None
-                for payload in payloads:
-                    if payload is None:
-                        continue
-                    blob = payload.get("sanitize")
-                    if blob is not None:
-                        san.ingest(
-                            payload["wid"], blob["events"], pid=blob["pid"]
-                        )
-                    if timeout_exc is None:
-                        timeout_exc = payload.get("wait_timeout")
-                if timeout_exc is not None:
-                    # Same contract as the unsanitized "err" path: the
-                    # post phase never runs, the session stays dirty and
-                    # is scrubbed wholesale by the next run.
-                    raise timeout_exc
-
-        # Phase 3: postprocess/reset — scratch reusable afterwards.
-        self._broadcast(("post", sess.key, opts))
-        self._apply(self._collect("post"), rec, met)
-        sess.dirty = False
-
-        y = sess.views["y"].copy()
+            finally:
+                pool.last_run = time.monotonic()
+                _IDLE.arm(IDLE_CLOSE_SECONDS)
         wall = time.perf_counter() - t0
 
         cm = CostModel()
-        result = RunResult(
+        out = RunResult(
             loop_name=loop.name,
             strategy="multiproc-doacross",
             processors=self.workers,
-            y=y,
+            y=result["y"],
             total_cycles=0,
             sequential_cycles=sequential_time(loop, cm),
             cost_model=cm,
             schedule=f"chunked({c_size} x {self.workers} workers)",
             wall_seconds=wall,
         )
-        result.extras["chunk"] = c_size
-        result.extras["workers"] = self.workers
-        result.extras["start_method"] = self.start_method
+        out.extras["chunk"] = c_size
+        out.extras["workers"] = self.workers
+        out.extras["start_method"] = self.start_method
+        out.extras["exec_order"] = "in-chunk" if order_key else "given"
+        group = result["group"]
         if group is not None:
-            result.extras["distance_group"] = int(group)
+            out.extras["distance_group"] = int(group)
+        met = self._obs_metrics
         if self.cache is not None:
             stats = self.cache.stats()
-            result.extras["cache_hit"] = hit
-            result.extras["cache_hits_total"] = stats["hits"]
-            result.extras["cache_misses_total"] = stats["misses"]
+            out.extras["cache_hit"] = hit
+            out.extras["cache_hits_total"] = stats["hits"]
+            out.extras["cache_misses_total"] = stats["misses"]
         if self.analyze is not None:
-            result.extras["analyze"] = self.analyze
-            result.extras["inspector_elided"] = elide
+            out.extras["analyze"] = self.analyze
+            out.extras["inspector_elided"] = elide
             if verdict is not None:
-                result.extras["verdict"] = verdict.kind
+                out.extras["verdict"] = verdict.kind
                 if verdict.distance is not None:
-                    result.extras["verdict_distance"] = int(verdict.distance)
+                    out.extras["verdict_distance"] = int(verdict.distance)
         if met is not None:
             met.gauge("workers", self.workers)
             met.gauge("chunk", c_size)
-            if prefilled:
+            if result["prefilled"]:
                 met.count("inspector_iterations", 0)
             if self.cache is not None:
                 met.count("inspector_cache_hits", 1 if hit else 0)
@@ -998,8 +1050,124 @@ class MultiprocRunner(Runner):
                 "no simulated timeline exists on real processes; use "
                 "observe=True for wall-clock spans",
             )
-        note_ignored_options(result, self.name, **ignored)
-        return result
+        note_ignored_options(out, self.name, **ignored)
+        return out
+
+    def _run_on(
+        self, pool: _Pool, loop: IrregularLoop, fingerprint: str,
+        order: np.ndarray | None, order_key: tuple | None,
+        graph: DependenceGraph | None, c_size: int, elide: bool, hit: bool,
+    ) -> dict:
+        """The three phases on ``pool`` (its lock held)."""
+        timeout = self.ladder.timeout + 60.0
+        sess = pool.session(loop, fingerprint, self.max_sessions, timeout)
+        rec = self._obs_recorder
+        met = self._obs_metrics
+        n = loop.n
+
+        if sess.dirty:
+            # A previous run died mid-protocol (WaitTimeout): the normal
+            # postprocess reset never ran, so scrub the scratch wholesale.
+            sess.views["iter"][:] = MAXINT
+            sess.views["ready"][:] = 0
+        sess.dirty = True
+
+        # Per-run values into shared memory (structure is already there).
+        sess.views["y"][:] = loop.y0
+        if sess.terms:
+            sess.views["coeff"][:] = loop.reads.coeff
+        external = loop.init_kind == INIT_EXTERNAL
+        if external:
+            sess.views["init"][:] = loop.init_values
+        if order_key is None or sess.order_key != order_key:
+            if order is None:
+                # No cache: the session's block is the only copy kept.
+                if graph is None:
+                    graph = DependenceGraph.from_loop(loop)
+                order = in_chunk_order(graph, c_size)
+            sess.views["order"][:] = order
+            sess.order_key = order_key
+
+        san = self._san_capture
+        opts = {
+            "chunk": c_size,
+            "workers": self.workers,
+            "order_key": order_key,
+            "external": external,
+            "observe": rec is not None,
+            "ladder": self.ladder,
+            "sanitize": san is not None,
+        }
+
+        # Phase 1: inspector — prefilled when the structure is cached or
+        # the symbolic proof holds (both give the canonical iter
+        # contents), else parallel.
+        prefilled = self.cache is not None or elide
+        if prefilled:
+            t_ins = time.perf_counter()
+            sess.views["iter"][loop.write] = np.arange(n, dtype=np.int64)
+            if rec is not None:
+                rec.record(
+                    "inspector", CAT_PHASE, t_ins, rec.now(), lane=0,
+                    cache_hit=bool(hit), elided=elide,
+                )
+        else:
+            pool.broadcast(("inspector", sess.key, opts))
+            self._apply(pool.collect("inspector", timeout), rec, met)
+
+        # Group-synchronous elision (DistancePass): natural order only,
+        # and the group must be a chunk-aligned multiple so the global
+        # chunk -> worker deal restricts cleanly to each group window.
+        group = self._group_sync if order_key is not None else None
+        if group is not None and (group < c_size or group % c_size):
+            group = None
+
+        # Phase 2: the executor — one flag-protocol pass, or one round
+        # per distance group (the collect between rounds is the group
+        # barrier).  On WaitTimeout the session stays dirty and is
+        # scrubbed on the next run; the pool itself survives.
+        if group is None:
+            rounds = [opts]
+        else:
+            n_groups = -(-n // group) if n else 0
+            rounds = [
+                dict(opts, glo=gk * group, ghi=min(n, (gk + 1) * group),
+                     round=gk)
+                for gk in range(n_groups)
+            ]
+        for round_opts in rounds:
+            pool.broadcast(("executor", sess.key, round_opts))
+            payloads = pool.collect("executor", timeout)
+            self._apply(payloads, rec, met)
+            if san is not None:
+                timeout_exc: WaitTimeout | None = None
+                for payload in payloads:
+                    if payload is None:
+                        continue
+                    blob = payload.get("sanitize")
+                    if blob is not None:
+                        san.ingest(
+                            payload["wid"], blob["events"], pid=blob["pid"]
+                        )
+                    if timeout_exc is None:
+                        timeout_exc = payload.get("wait_timeout")
+                if timeout_exc is not None:
+                    # Same contract as the unsanitized "err" path: the
+                    # post phase never runs, the session stays dirty and
+                    # is scrubbed wholesale by the next run.
+                    raise timeout_exc
+        if group is not None and met is not None:
+            met.count("group_barriers", len(rounds))
+
+        # Phase 3: postprocess/reset — scratch reusable afterwards.
+        pool.broadcast(("post", sess.key, opts))
+        self._apply(pool.collect("post", timeout), rec, met)
+        sess.dirty = False
+        return {
+            "y": sess.views["y"].copy(),
+            "group": group,
+            "prefilled": prefilled,
+        }
 
     @staticmethod
     def _apply(payloads: list, rec, met) -> None:

@@ -71,7 +71,7 @@ from repro.backends.base import (
     note_ignored_options,
     validate_execution_order,
 )
-from repro.backends.cache import InspectorCache, loop_fingerprint
+from repro.backends.cache import InspectorCache, LoopStructure, loop_fingerprint
 from repro.backends.layout import (
     ChunkLayout,
     build_chunk_layout,
@@ -151,6 +151,7 @@ class SpeculativeRunner(Runner):
         chunk: int | None = None,
         trace: bool = False,
         fingerprint: str | None = None,
+        structure: LoopStructure | None = None,
     ) -> RunResult:
         """Execute ``loop`` speculatively; returns a :class:`RunResult`
         bitwise-equal to the sequential oracle.
@@ -162,6 +163,9 @@ class SpeculativeRunner(Runner):
         ``trace`` are ignored and recorded in
         ``result.extras["ignored_options"]``.  ``fingerprint`` is the
         loop's digest when the caller already has it; it keys the cache.
+        ``structure`` is the loop's analysis when the caller holds one and
+        the runner has no cache (plan execution hands its own down), so
+        the run does not analyze the loop again.
         """
         verdict = None
         if self.analyze is not None:
@@ -172,9 +176,9 @@ class SpeculativeRunner(Runner):
                 from repro.analysis import cross_check
 
                 cross_check(loop, verdict, strict=True)
+        graph = structure.graph if structure is not None else None
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
-            graph = None
             if self.cache is not None:
                 if fingerprint is None:
                     fingerprint = loop_fingerprint(loop)
@@ -188,7 +192,8 @@ class SpeculativeRunner(Runner):
 
         t0 = time.perf_counter()
         if self.cache is None:
-            layout, layout_cache = build_chunk_layout(loop, cs), "uncached"
+            layout = build_chunk_layout(loop, cs, graph)
+            layout_cache = "uncached"
         else:
             layout, hit = self.cache.chunk_layout(loop, cs, fingerprint)
             layout_cache = "hit" if hit else "miss"

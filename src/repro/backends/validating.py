@@ -73,6 +73,7 @@ class ValidatingRunner(Runner):
         chunk: int | None = None,
         trace: bool = False,
         fingerprint: str | None = None,
+        **options,
     ) -> RunResult:
         from repro.lint.driver import run_lints
         from repro.lint.hb import check_backend_schedule
@@ -98,7 +99,7 @@ class ValidatingRunner(Runner):
             raise RaceConditionError(report)
         result = self.inner.run(
             loop, order=order, schedule=schedule, chunk=chunk, trace=trace,
-            fingerprint=fingerprint,
+            fingerprint=fingerprint, **options,
         )
         result.extras["lint"] = [d.as_dict() for d in diagnostics]
         result.extras["race_check"] = report.as_dict()

@@ -14,10 +14,16 @@ problem size (``n >= 50_000``), where the threaded backend's per-element
 size) asserts correctness only, since at tiny ``n`` the worker-pool
 spin-up can exceed the whole solve.
 
-Multiproc rows carry both the *cold* wall (first run: pool spin-up,
-shared-memory session creation, inspector) and the *warm* wall (session
-and classification caches hot — the amortized §3.1 regime); the recorded
-``wall_seconds`` is the cold one, so the speed claim is conservative.
+Multiproc rows carry both the *cold* wall (first run at that chunk size:
+dependence analysis, the in-chunk order, the inspector and the workers'
+term classification) and the *warm* wall (session and classification
+caches hot — the amortized §3.1 regime); the recorded ``wall_seconds``
+is the cold one, so the speed claim is conservative.  The worker pool
+outlives runners and calls, so a cold run pays pool spin-up and
+shared-memory session creation only when the pool is new: here, the
+first chunk size of each worker count (the sweep closes each count's
+pool when done), and in a long-lived process only after the pool has
+closed itself when idle.
 
 Run: ``python -m repro bench-multiproc [--small] [--json] [nx]``.  Every
 run writes the machine-readable ``BENCH_multiproc.json`` (override with

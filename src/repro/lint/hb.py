@@ -35,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends.base import inverse_permutation
+from repro.backends.layout import in_chunk_order
+from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import LevelSchedule, compute_levels
 from repro.ir.analysis import dependence_pairs, writer_map
 from repro.ir.loop import IrregularLoop
@@ -292,7 +294,10 @@ def multiproc_happens_before(
     """The multiproc backend's order: contiguous position chunks of size
     ``chunk`` dealt round-robin to workers (each worker walks its chunks,
     and the positions inside them, in increasing order), plus the
-    ``ready``-flag ladder waits.
+    ``ready``-flag ladder waits.  Without ``order`` the positions are
+    the backend's natural-order schedule,
+    :func:`~repro.backends.layout.in_chunk_order` of the loop's
+    true-dependence DAG.
 
     The backend skips the flag for a true dependence whose writer sits
     *earlier in the reader's own chunk* (the worker itself wrote ``ynew``
@@ -305,9 +310,8 @@ def multiproc_happens_before(
     if chunk is None:
         chunk = max(1, -(-n // (4 * workers)))
     if order is None:
-        pos = np.arange(n, dtype=np.int64)
-    else:
-        pos = inverse_permutation(np.asarray(order, dtype=np.int64))
+        order = in_chunk_order(DependenceGraph.from_loop(loop), chunk)
+    pos = inverse_permutation(np.asarray(order, dtype=np.int64))
     worker = (pos // chunk) % workers
 
     if iter_array is None:

@@ -165,6 +165,7 @@ class InstrumentedRunner(Runner):
         chunk: int | None = None,
         trace: bool = False,
         fingerprint: str | None = None,
+        **options,
     ) -> RunResult:
         target = _innermost(self.inner)
         if target.name == "simulated":
@@ -181,7 +182,7 @@ class InstrumentedRunner(Runner):
         try:
             result = self.inner.run(
                 loop, order=order, schedule=schedule, chunk=chunk, trace=trace,
-                fingerprint=fingerprint,
+                fingerprint=fingerprint, **options,
             )
         finally:
             target._obs_recorder = None

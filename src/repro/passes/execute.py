@@ -93,6 +93,11 @@ def execute_plan(
     # The fingerprint pass already hashed the loop: hand the digest down
     # so the backend's cache lookups do not hash it again.
     run_kwargs: dict = {"fingerprint": plan.fingerprint}
+    structure = plan.artifacts.get("structure")
+    if backend in ("multiproc", "speculative") and cache is None and structure:
+        # No cache to read the analysis from: hand the plan's own down,
+        # so the run does not analyze the loop a second time.
+        run_kwargs["structure"] = structure["analysis"]
     if plan.order is not None:
         run_kwargs["order"] = plan.order
     if spec.schedule is not None and "schedule" in supported:

@@ -67,6 +67,7 @@ class SanitizingRunner(Runner):
         chunk: int | None = None,
         trace: bool = False,
         fingerprint: str | None = None,
+        **options,
     ) -> RunResult:
         target = _innermost(self.inner)
         capture = ShadowCapture()
@@ -75,7 +76,7 @@ class SanitizingRunner(Runner):
         try:
             result = self.inner.run(
                 loop, order=order, schedule=schedule, chunk=chunk,
-                trace=trace, fingerprint=fingerprint,
+                trace=trace, fingerprint=fingerprint, **options,
             )
         except WaitTimeout as exc:
             # The run died in a busy-wait: check whatever was logged

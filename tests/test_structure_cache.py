@@ -95,6 +95,7 @@ class TestPlanOncePerStructure:
             ("vectorized", "doconsider", True),
             ("multiproc", "natural", False),
             ("multiproc", "natural", True),
+            ("multiproc", "doconsider", False),
             ("multiproc", "doconsider", True),
         ],
     )
@@ -104,7 +105,9 @@ class TestPlanOncePerStructure:
         result, _ = parallelize(loop, spec=spec, cache=cache)
         assert np.array_equal(result.y, loop.run_sequential())
         assert calls["dependence_pairs"] == 1
-        assert calls["compute_levels"] == 1
+        # A natural multiproc run also levels the in-chunk DAG it runs in.
+        in_chunk = backend == "multiproc" and reorder == "natural"
+        assert calls["compute_levels"] == (2 if in_chunk else 1)
 
     @pytest.mark.parametrize("backend", ("vectorized", "multiproc", "speculative"))
     def test_warm_call_hashes_the_loop_once(self, loop, calls, backend):
@@ -128,8 +131,8 @@ class TestPlanOncePerStructure:
         result, _ = parallelize(loop, spec=spec, cache=cache)
         assert np.array_equal(result.y, loop.run_sequential())
         assert calls["build_chunk_layout"] == 1
-        # Without a cache, planning and the layout build each analyze.
-        assert calls["dependence_pairs"] == (1 if shared else 2)
+        # Without a cache the layout is cut from the plan's own analysis.
+        assert calls["dependence_pairs"] == 1
         # The loop's DAG, then the in-chunk DAG the layout sweeps.
         assert calls["compute_levels"] == 2
         expected = "miss" if shared else "uncached"

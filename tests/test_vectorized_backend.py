@@ -135,6 +135,7 @@ class TestParallelizeBackend:
             "structure_hits": 0,
             "structure_misses": 1,
             "layout_entries": 0,
+            "order_entries": 0,
             "bytes": cache.stats()["bytes"],
             "tuner_entries": 0,
         }
